@@ -243,8 +243,9 @@ impl ImageCache {
     }
 }
 
-/// Generate the raw (unscheduled) program for a non-trace workload.
-fn raw_program(workload: &Workload) -> Result<RawProgram, SpecError> {
+/// Generate the raw (unscheduled) program for a workload. Trace workloads
+/// are instruction-address streams with no program, so they are an error.
+pub fn raw_program(workload: &Workload) -> Result<RawProgram, SpecError> {
     match workload {
         Workload::Kernel(name) => find_kernel(name).map(|k| k.raw).ok_or_else(|| {
             SpecError(format!(
@@ -262,7 +263,10 @@ fn raw_program(workload: &Workload) -> Result<RawProgram, SpecError> {
             Ok(generate(cfg).raw)
         }
         Workload::Stream { words, reps } => Ok(streaming(*words, *reps)),
-        Workload::Trace { .. } => unreachable!("trace workloads never reach raw generation"),
+        Workload::Trace { .. } => Err(SpecError(format!(
+            "{} is an instruction-address trace, not a program",
+            workload.id()
+        ))),
     }
 }
 

@@ -1,22 +1,19 @@
 //! `mipsx` — command-line front end for the MIPS-X reproduction.
 //!
 //! ```text
-//! mipsx asm   <file.s>              assemble, print words as hex
-//! mipsx dis   <file.s>              assemble then disassemble (round trip)
-//! mipsx run   <file.s> [options]    execute on the cycle-accurate machine
-//! mipsx trace <kernel|file.s> [options]
-//!                                   execute with the cycle-level probes on:
+//! mipsx asm   <target>              assemble, print words as hex
+//! mipsx dis   <target>              assemble then disassemble (round trip)
+//! mipsx run   <target> [options]    execute on the cycle-accurate machine
+//! mipsx trace <target> [options]    execute with the cycle-level probes on:
 //!                                   ASCII pipe diagram + CPI attribution
 //! mipsx soak  [options]             fuzz random programs under random
 //!                                   fault plans against the lockstep
 //!                                   reference model
-//! mipsx lint  <kernel|file.s> [options]
-//!                                   static hazard verifier: prove the
+//! mipsx lint  <target> [options]    static hazard verifier: prove the
 //!                                   program satisfies the pipeline
 //!                                   contract (load delays, squash
 //!                                   senses, MD chains, ...)
-//! mipsx analyze <kernel|file.s> [options]
-//!                                   static timing analyzer: per-block
+//! mipsx analyze <target> [options]  static timing analyzer: per-block
 //!                                   cost table (delay-slot waste,
 //!                                   liveness, loop depth) and the
 //!                                   whole-program static CPI bound
@@ -24,12 +21,12 @@
 //!                                   design-space exploration: expand a
 //!                                   sweep grid, run it on a thread pool,
 //!                                   serve repeats from the result cache
-//! mipsx profile <kernel|file.s|spec.sweep> [options]
+//! mipsx profile <target|spec.sweep> [options]
 //!                                   run with host telemetry on and print
 //!                                   a span-tree wall-time report (stage
 //!                                   attribution, pool occupancy, store
 //!                                   latencies)
-//! mipsx snapshot save <kernel|file.s> --out <path> [options]
+//! mipsx snapshot save <target> --out <path> [options]
 //!                                   run for --cycles, then write a
 //!                                   restorable machine snapshot
 //! mipsx snapshot restore <path> [--cycles N]
@@ -39,22 +36,36 @@
 //!                                   sizes and checksum without restoring
 //! mipsx info                        print the modeled machine's parameters
 //!
-//! run options:
-//!   --cycles <n>        cycle budget (default 10,000,000)
-//!   --slots <1|2>       branch delay slots (default 2)
+//! <target> (every subcommand above that takes one):
+//!   prog.s              an assembly file, assembled as written
+//!   fib_recursive       a built-in kernel, by name or as kernel:<name>
+//!   synth:<pascal|lisp|tiny>:<seed>
+//!                       a calibrated synthetic program
+//!   stream:<words>x<reps>
+//!                       the E11 data-streaming loop
+//!   Kernels and workload ids are scheduled by the code reorganizer for
+//!   the --slots scheme, exactly as a sweep job runs them. trace: ids are
+//!   address traces, not programs: only `mipsx sweep` runs them.
+//!
+//! machine flags (each subcommand takes those it lists below):
+//!   --slots <1|2>       branch delay slots of the machine *and* of the
+//!                       squash-optional schedule targets get (default 2)
+//!   --ideal             the cache-ideal configuration (no memory stalls)
+//!                       instead of the MIPS-X board
 //!   --trust             disable interlock checking (model the silicon)
-//!   --ideal             use the ideal-cache configuration (no memory
-//!                       stalls) instead of the MIPS-X board
 //!   --engine <interp|block|checked>
 //!                       execution backend: `block` runs the basic-block
 //!                       superop engine (fast, cycle-identical; demotes
 //!                       itself to the stepper when it must), `checked`
 //!                       shadows every step with the functional reference
-//!                       model, `interp` the cycle-accurate stepper
-//!                       (default)
+//!                       model (2 slots only), `interp` the cycle-accurate
+//!                       stepper (default)
+//!
+//! run options: --slots --ideal --trust --engine, and
+//!   --cycles <n>        cycle budget (default 10,000,000)
 //!   --regs              dump the register file after the run
 //!
-//! trace options (in addition to --cycles/--slots):
+//! trace options: --slots, --cycles, and
 //!   --diagram <n>       render the first n cycles as a pipe diagram
 //!                       (default 60; 0 disables)
 //!   --jsonl <path>      also write every probe event as JSON lines
@@ -72,9 +83,7 @@
 //!   --snap-dir <dir>    where a diverging run's last-good machine
 //!                       snapshot lands (default: the system temp dir)
 //!
-//! lint options:
-//!   --slots <1|2>       branch delay slots of the contract (default 2);
-//!                       kernel targets are rescheduled for that count
+//! lint options: --slots (the contract's delay slots), and
 //!   --json              machine-readable report
 //!   --kernels           lint every built-in kernel under all six Table 1
 //!                       branch schemes instead of a single target; one
@@ -84,8 +93,7 @@
 //!                       (missed-slot-fill, redundant-nop,
 //!                       avoidable-load-stall, cross-block-hazard-at-join)
 //!
-//! analyze options:
-//!   --slots <1|2>       branch delay slots (default 2), as in lint
+//! analyze options: --slots, and
 //!   --json              machine-readable analysis
 //!   --kernels           analyze every built-in kernel under all six
 //!                       Table 1 branch schemes
@@ -135,38 +143,36 @@
 //!   --cycles <n>        save: cycles to run before snapshotting (0 =
 //!                       snapshot the freshly loaded machine);
 //!                       restore: further cycle budget (default 10,000,000)
-//!   --slots <1|2>       save: branch delay slots (default 2)
+//!   --slots <1|2>       save: the machine flag above
 //!   --faults <spec>     save: fault plan; its delivery cursor rides in
 //!                       the snapshot, so restore continues it exactly
 //!   --out <path>        save: where the snapshot is written (required)
 //!
 //! profile options:
-//!   a kernel name or .s file profiles a single run (assemble, machine
-//!   construction, program decode, execution — plus host steps/s);
-//!   `--engine <interp|block|checked>` picks the backend, and a block run
-//!   prints its fallback-cause breakdown; a .sweep file or
-//!   --grid/--workload flags profile a whole sweep with the same flags as
-//!   `mipsx sweep`. `--metrics <path>` works here too.
+//!   a <target> profiles a single run (assemble, machine construction,
+//!   program decode, execution — plus host steps/s) and takes --slots
+//!   --ideal --engine --cycles; a block run prints its fallback-cause
+//!   breakdown. A .sweep file or --grid/--workload flags profile a whole
+//!   sweep with the same flags as `mipsx sweep` (slot counts then come
+//!   from --grid branch.slots=...). `--metrics <path>` works in both.
 //! ```
 //!
 //! A failing soak run prints a copy-pasteable `mipsx soak --runs 1 --seed N
-//! --faults <spec>` line that reproduces it exactly.
-//!
-//! `mipsx trace` and `mipsx lint` accept either a kernel name from the
-//! built-in suite (`mipsx trace fib_recursive`) — the kernel is scheduled
-//! by the code reorganizer exactly as the experiments run it — or a path
-//! to an assembly file. `mipsx lint` exits non-zero if any error-severity
-//! diagnostic is found (warnings alone do not fail the run).
+//! --faults <spec>` line that reproduces it exactly. `mipsx lint` exits
+//! non-zero if any error-severity diagnostic is found (warnings alone do
+//! not fail the run).
 //!
 //! The sweep report goes to stdout; timing and cache-hit chatter goes to
 //! stderr, so reports are byte-comparable across runs and thread counts.
 
 use std::process::ExitCode;
+use std::time::Instant;
 
-use mipsx::asm::{assemble, assemble_at, disassemble};
-use mipsx::cli::{flag, parse_args, switch, ArgError, FlagSpec, ParsedArgs};
+use mipsx::asm::{assemble_at, disassemble, Program};
+use mipsx::cli::{flags_of, parse_args, point_from_flags, resolve_target, ArgError, ParsedArgs};
 use mipsx::core::probe::{CpiAttribution, JsonlSink, NullSink, PipeDiagram};
-use mipsx::core::{FaultPlan, InterlockPolicy, Machine, MachineConfig, RunError};
+use mipsx::core::{FaultPlan, Machine, MachineConfig, RunError};
+use mipsx::engine::EngineStats;
 use mipsx::exec::{AnyBackend, EngineKind, ExecBackend};
 use mipsx::explore::{
     run_sweep, Axis, Grid, JournalConfig, ResultStore, SimPoint, SweepOptions, SweepSpec,
@@ -174,16 +180,16 @@ use mipsx::explore::{
 };
 use mipsx::isa::Reg;
 use mipsx::refmodel::{Lockstep, NULL_HANDLER};
-use mipsx::reorg::{BranchScheme, Reorganizer, SquashPolicy};
+use mipsx::reorg::BranchScheme;
 use mipsx::verify::{
     differential, verify, verify_with_timing, BlockAttribution, TimingAnalysis, VerifyConfig,
 };
-use mipsx::workloads::{all_kernels, find_kernel, kernel_names, random_scheduled_program};
+use mipsx::workloads::{all_kernels, random_scheduled_program};
 
 fn usage() -> ExitCode {
     eprintln!(
         "usage: mipsx <asm|dis|run|trace|soak|lint|analyze|sweep|profile|snapshot|info> \
-         [file.s|kernel|spec.sweep] \
+         [target|spec.sweep] \
          [--cycles N] [--slots 1|2] [--trust] [--ideal] [--engine interp|block|checked] [--regs] \
          [--diagram N] [--jsonl path] \
          [--from-cycle K] [--runs N] \
@@ -197,87 +203,93 @@ fn usage() -> ExitCode {
     ExitCode::FAILURE
 }
 
-/// Parse a subcommand's arguments, printing the error and usage on
-/// failure.
-fn parse_or_usage(args: &[String], spec: &[FlagSpec]) -> Result<ParsedArgs, ExitCode> {
-    parse_args(args, spec).map_err(|e| {
-        eprintln!("mipsx: {e}");
-        usage()
-    })
+/// Why a subcommand stopped early. Both print `mipsx: <message>` and exit
+/// non-zero; `Usage` also prints the usage line.
+enum Fail {
+    Usage(Option<String>),
+    Msg(String),
 }
 
-/// `parsed_or` with the subcommand's error rendering.
-fn numeric<T: std::str::FromStr>(
-    parsed: &ParsedArgs,
-    name: &str,
-    default: T,
-) -> Result<T, ExitCode> {
-    parsed.parsed_or(name, default).map_err(|e: ArgError| {
-        eprintln!("mipsx: {e}");
+impl From<String> for Fail {
+    fn from(msg: String) -> Fail {
+        Fail::Msg(msg)
+    }
+}
+
+impl From<ArgError> for Fail {
+    fn from(e: ArgError) -> Fail {
+        Fail::Msg(e.to_string())
+    }
+}
+
+type Outcome = Result<ExitCode, Fail>;
+
+fn fail<T>(msg: impl Into<String>) -> Result<T, Fail> {
+    Err(Fail::Msg(msg.into()))
+}
+
+fn exit_code(ok: bool) -> ExitCode {
+    if ok {
+        ExitCode::SUCCESS
+    } else {
         ExitCode::FAILURE
-    })
-}
-
-/// Resolve a `trace`/`lint` target: a built-in kernel name (scheduled
-/// through the reorganizer under `scheme`) or an assembly file.
-fn target_program(target: &str, scheme: BranchScheme) -> Result<mipsx::asm::Program, String> {
-    if let Some(kernel) = find_kernel(target) {
-        let (program, _) = Reorganizer::new(scheme)
-            .reorganize(&kernel.raw)
-            .map_err(|e| format!("kernel {target}: {e}"))?;
-        return Ok(program);
     }
-    let source = std::fs::read_to_string(target).map_err(|e| {
-        format!(
-            "{target}: {e} (not a readable file; known kernels: {})",
-            kernel_names().join(", ")
-        )
-    })?;
-    assemble(&source).map_err(|e| format!("{target}: {e}"))
 }
 
-fn cmd_trace(args: &[String]) -> ExitCode {
-    let parsed = match parse_or_usage(
-        args,
-        &[
-            flag("--cycles"),
-            flag("--slots"),
-            flag("--diagram"),
-            flag("--jsonl"),
-            flag("--from-cycle"),
-        ],
-    ) {
-        Ok(p) => p,
-        Err(code) => return code,
+/// Parse `args` against `subcommand`'s declared flags.
+fn parse(subcommand: &str, args: &[String]) -> Result<ParsedArgs, Fail> {
+    parse_args(args, flags_of(subcommand)).map_err(|e| Fail::Usage(Some(e.to_string())))
+}
+
+/// The subcommand's target: its first positional argument.
+fn target(parsed: &ParsedArgs) -> Result<&str, Fail> {
+    parsed
+        .positionals
+        .first()
+        .map(String::as_str)
+        .ok_or(Fail::Usage(None))
+}
+
+/// The `--faults <spec>` plan, if one was given.
+fn faults_flag(parsed: &ParsedArgs) -> Result<Option<FaultPlan>, Fail> {
+    let Some(spec) = parsed.value("--faults") else {
+        return Ok(None);
     };
-    let Some(target) = parsed.positionals.first() else {
-        return usage();
-    };
-    let (cycles, diagram_cycles, slots, from_cycle) = match (
-        numeric(&parsed, "--cycles", 10_000_000u64),
-        numeric(&parsed, "--diagram", 60u64),
-        numeric(&parsed, "--slots", 2usize),
-        numeric(&parsed, "--from-cycle", 0u64),
-    ) {
-        (Ok(c), Ok(d), Ok(s), Ok(f)) => (c, d, s, f),
-        (Err(code), ..) | (_, Err(code), ..) | (_, _, Err(code), _) | (.., Err(code)) => {
-            return code
+    match FaultPlan::parse(spec) {
+        Ok(plan) => Ok(Some(plan)),
+        Err(e) => fail(format!("--faults {spec}: {e}")),
+    }
+}
+
+fn cmd_asm(disassembly: bool, args: &[String]) -> Outcome {
+    let parsed = parse("asm", args)?;
+    let program = resolve_target(target(&parsed)?, &point_from_flags(&parsed)?)?;
+    if disassembly {
+        for line in disassemble(program.origin, &program.words) {
+            println!("{line}");
         }
-    };
+    } else {
+        for (i, w) in program.words.iter().enumerate() {
+            println!("{:#07x}: {w:08x}", program.origin + i as u32);
+        }
+    }
+    Ok(ExitCode::SUCCESS)
+}
+
+fn cmd_trace(args: &[String]) -> Outcome {
+    let parsed = parse("trace", args)?;
+    let target = target(&parsed)?;
+    let cycles = parsed.parsed_or("--cycles", 10_000_000u64)?;
+    let diagram_cycles = parsed.parsed_or("--diagram", 60u64)?;
+    let from_cycle = parsed.parsed_or("--from-cycle", 0u64)?;
+    let point = point_from_flags(&parsed)?;
     if from_cycle >= cycles {
-        eprintln!("mipsx: --from-cycle {from_cycle} must be below the --cycles budget {cycles}");
-        return ExitCode::FAILURE;
+        return fail(format!(
+            "--from-cycle {from_cycle} must be below the --cycles budget {cycles}"
+        ));
     }
-    let mut cfg = MachineConfig::mipsx();
-    cfg.branch_delay_slots = slots;
-    let program = match target_program(target, BranchScheme::mipsx()) {
-        Ok(p) => p,
-        Err(e) => {
-            eprintln!("mipsx: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let mut machine = Machine::new(cfg);
+    let program = resolve_target(target, &point)?;
+    let mut machine = Machine::new(point.cfg);
     machine.load_program(&program);
 
     // Fast-forward untraced: probes are pure observers, so skipping them
@@ -286,16 +298,15 @@ fn cmd_trace(args: &[String]) -> ExitCode {
         match machine.run(from_cycle) {
             Err(RunError::CycleLimit { .. }) => {}
             Ok(stats) => {
-                eprintln!(
-                    "mipsx: program halted at cycle {} — nothing left to trace \
-                     from cycle {from_cycle}",
+                return fail(format!(
+                    "program halted at cycle {} — nothing left to trace from cycle {from_cycle}",
                     stats.cycles
-                );
-                return ExitCode::FAILURE;
+                ))
             }
             Err(e) => {
-                eprintln!("mipsx: execution failed before --from-cycle {from_cycle}: {e}");
-                return ExitCode::FAILURE;
+                return fail(format!(
+                    "execution failed before --from-cycle {from_cycle}: {e}"
+                ))
             }
         }
     }
@@ -305,31 +316,17 @@ fn cmd_trace(args: &[String]) -> ExitCode {
     let mut sink = (diagram, CpiAttribution::new());
     let result = match parsed.value("--jsonl") {
         Some(path) => {
-            let file = match std::fs::File::create(path) {
-                Ok(f) => std::io::BufWriter::new(f),
-                Err(e) => {
-                    eprintln!("mipsx: cannot create {path}: {e}");
-                    return ExitCode::FAILURE;
-                }
-            };
-            let mut jsonl = JsonlSink::new(file);
+            let file =
+                std::fs::File::create(path).map_err(|e| format!("cannot create {path}: {e}"))?;
+            let mut jsonl = JsonlSink::new(std::io::BufWriter::new(file));
             let result = machine.run_with(budget, &mut (&mut sink, &mut jsonl));
-            match jsonl.finish() {
-                Ok(_) => {}
-                Err(e) => {
-                    eprintln!("mipsx: writing {path}: {e}");
-                    return ExitCode::FAILURE;
-                }
-            }
+            jsonl.finish().map_err(|e| format!("writing {path}: {e}"))?;
             result
         }
         None => machine.run_with(budget, &mut sink),
     };
     let (diagram, attribution) = sink;
-    if let Err(e) = result {
-        eprintln!("mipsx: execution failed: {e}");
-        return ExitCode::FAILURE;
-    }
+    result.map_err(|e| format!("execution failed: {e}"))?;
     if diagram_cycles > 0 {
         println!(
             "pipe diagram ({diagram_cycles} cycles from cycle {from_cycle}; F R A M W = stage, \
@@ -346,40 +343,29 @@ fn cmd_trace(args: &[String]) -> ExitCode {
     println!("ecache: {}", machine.ecache().stats());
     println!("{}", machine.ecache().occupancy_report());
     if !attribution.identity_holds() {
-        eprintln!("mipsx: INTERNAL ERROR: CPI attribution does not sum to total cycles");
-        return ExitCode::FAILURE;
+        return fail("INTERNAL ERROR: CPI attribution does not sum to total cycles");
     }
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
-fn cmd_lint(args: &[String]) -> ExitCode {
-    let parsed = match parse_or_usage(
-        args,
-        &[
-            switch("--json"),
-            switch("--kernels"),
-            switch("--timing"),
-            flag("--slots"),
-        ],
-    ) {
-        Ok(p) => p,
-        Err(code) => return code,
-    };
+/// `point` under each Table 1 branch scheme, for `--kernels`.
+fn table1_points(point: SimPoint) -> impl Iterator<Item = SimPoint> {
+    BranchScheme::table1()
+        .into_iter()
+        .map(move |scheme| SimPoint::new(point.cfg, scheme))
+}
+
+fn cmd_lint(args: &[String]) -> Outcome {
+    let parsed = parse("lint", args)?;
     let json = parsed.has("--json");
     let timing = parsed.has("--timing");
-    let slots = match numeric(&parsed, "--slots", 2usize) {
-        Ok(s) => s,
-        Err(code) => return code,
-    };
-    if !(1..=2).contains(&slots) {
-        eprintln!("mipsx: --slots must be 1 or 2");
-        return ExitCode::FAILURE;
-    }
-    let run_lint = |program: &mipsx::asm::Program, cfg: &VerifyConfig| {
+    let point = point_from_flags(&parsed)?;
+    let run_lint = |program: &Program, point: &SimPoint| {
+        let cfg = VerifyConfig::for_slots(point.scheme.slots);
         if timing {
-            verify_with_timing(program, cfg)
+            verify_with_timing(program, &cfg)
         } else {
-            verify(program, cfg)
+            verify(program, &cfg)
         }
     };
 
@@ -390,28 +376,25 @@ fn cmd_lint(args: &[String]) -> ExitCode {
         // exit code reflects error-severity findings only.
         let mut error_total = 0usize;
         let mut scheme_rows: Vec<String> = Vec::new();
-        for scheme in BranchScheme::table1() {
-            let vcfg = VerifyConfig::for_slots(scheme.slots);
+        for point in table1_points(point) {
+            let scheme = point.scheme;
             let mut errors = 0usize;
             let mut warnings = 0usize;
             let mut kernel_rows: Vec<String> = Vec::new();
             let mut details: Vec<String> = Vec::new();
             for kernel in all_kernels() {
-                let (program, report) = match Reorganizer::new(scheme).reorganize(&kernel.raw) {
-                    Ok(r) => r,
-                    Err(e) => {
-                        eprintln!("mipsx: kernel {} [{scheme}]: {e}", kernel.name);
-                        return ExitCode::FAILURE;
-                    }
-                };
-                let lint = run_lint(&program, &vcfg);
+                let program = resolve_target(kernel.name, &point)?;
+                let lint = run_lint(&program, &point);
                 errors += lint.error_count();
                 warnings += lint.warning_count();
                 if json {
+                    // `verified` is the reorganizer's post-condition: this
+                    // verifier under the scheme's slots, error-free (the
+                    // timing lints only add warnings).
                     kernel_rows.push(format!(
                         "{{\"kernel\":\"{}\",\"verified\":{},\"report\":{}}}",
                         kernel.name,
-                        report.verified,
+                        lint.is_clean(),
                         lint.to_json()
                     ));
                 } else {
@@ -440,28 +423,13 @@ fn cmd_lint(args: &[String]) -> ExitCode {
         if json {
             println!("[{}]", scheme_rows.join(",\n "));
         }
-        return if error_total == 0 {
-            ExitCode::SUCCESS
-        } else {
-            ExitCode::FAILURE
-        };
+        return Ok(exit_code(error_total == 0));
     }
 
-    let Some(target) = parsed.positionals.first() else {
-        return usage();
-    };
-    let scheme = BranchScheme {
-        slots,
-        squash: SquashPolicy::SquashOptional,
-    };
-    let program = match target_program(target, scheme) {
-        Ok(p) => p,
-        Err(e) => {
-            eprintln!("mipsx: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let lint = run_lint(&program, &VerifyConfig::for_slots(slots));
+    let target = target(&parsed)?;
+    let program = resolve_target(target, &point)?;
+    let slots = point.scheme.slots;
+    let lint = run_lint(&program, &point);
     if json {
         println!("{}", lint.to_json());
     } else if lint.diagnostics.is_empty() {
@@ -470,24 +438,20 @@ fn cmd_lint(args: &[String]) -> ExitCode {
         print!("{lint}");
         println!(" ({slots}-slot contract)");
     }
-    if lint.is_clean() {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
-    }
+    Ok(exit_code(lint.is_clean()))
 }
 
 /// Run `program` fault-free on the cache-ideal configuration with the
-/// per-block attributor attached, and check every static identity.
-/// Returns the violation list (empty = exact match).
+/// point's delay slots and the per-block attributor attached, and check
+/// every static identity. Returns the violation list (empty = exact match).
 fn run_differential(
-    program: &mipsx::asm::Program,
+    program: &Program,
     ta: &TimingAnalysis,
-    slots: usize,
+    point: &SimPoint,
     budget: u64,
 ) -> Result<Vec<String>, String> {
     let cfg = MachineConfig {
-        branch_delay_slots: slots,
+        branch_delay_slots: point.scheme.slots,
         ..MachineConfig::cache_ideal()
     };
     let mut machine = Machine::new(cfg);
@@ -499,33 +463,21 @@ fn run_differential(
     Ok(differential(ta, &attrib, &stats))
 }
 
-fn cmd_analyze(args: &[String]) -> ExitCode {
-    let parsed = match parse_or_usage(
-        args,
-        &[
-            switch("--json"),
-            switch("--kernels"),
-            switch("--differential"),
-            flag("--slots"),
-            flag("--cycles"),
-        ],
-    ) {
-        Ok(p) => p,
-        Err(code) => return code,
-    };
+/// The differential violations as a JSON string array.
+fn violations_json(errs: &[String]) -> String {
+    let quoted: Vec<String> = errs
+        .iter()
+        .map(|e| format!("\"{}\"", e.replace('"', "'")))
+        .collect();
+    format!("[{}]", quoted.join(","))
+}
+
+fn cmd_analyze(args: &[String]) -> Outcome {
+    let parsed = parse("analyze", args)?;
     let json = parsed.has("--json");
     let diff = parsed.has("--differential");
-    let (slots, budget) = match (
-        numeric(&parsed, "--slots", 2usize),
-        numeric(&parsed, "--cycles", 10_000_000u64),
-    ) {
-        (Ok(s), Ok(b)) => (s, b),
-        (Err(code), _) | (_, Err(code)) => return code,
-    };
-    if !(1..=2).contains(&slots) {
-        eprintln!("mipsx: --slots must be 1 or 2");
-        return ExitCode::FAILURE;
-    }
+    let point = point_from_flags(&parsed)?;
+    let budget = parsed.parsed_or("--cycles", 10_000_000u64)?;
 
     if parsed.has("--kernels") {
         // Every kernel under every Table 1 scheme: static bound per cell,
@@ -533,25 +485,16 @@ fn cmd_analyze(args: &[String]) -> ExitCode {
         // CI gates on.
         let mut violations = 0usize;
         let mut rows: Vec<String> = Vec::new();
-        for scheme in BranchScheme::table1() {
-            let vcfg = VerifyConfig::for_slots(scheme.slots);
+        for point in table1_points(point) {
+            let scheme = point.scheme;
             for kernel in all_kernels() {
-                let (program, _) = match Reorganizer::new(scheme).reorganize(&kernel.raw) {
-                    Ok(r) => r,
-                    Err(e) => {
-                        eprintln!("mipsx: kernel {} [{scheme}]: {e}", kernel.name);
-                        return ExitCode::FAILURE;
-                    }
-                };
-                let ta = TimingAnalysis::of(&program, &vcfg);
+                let program = resolve_target(kernel.name, &point)?;
+                let ta = TimingAnalysis::of(&program, &VerifyConfig::for_slots(scheme.slots));
                 let errs = if diff {
-                    match run_differential(&program, &ta, scheme.slots, budget) {
-                        Ok(errs) => Some(errs),
-                        Err(e) => {
-                            eprintln!("mipsx: kernel {} [{scheme}]: {e}", kernel.name);
-                            return ExitCode::FAILURE;
-                        }
-                    }
+                    Some(
+                        run_differential(&program, &ta, &point, budget)
+                            .map_err(|e| format!("kernel {} [{scheme}]: {e}", kernel.name))?,
+                    )
                 } else {
                     None
                 };
@@ -561,13 +504,9 @@ fn cmd_analyze(args: &[String]) -> ExitCode {
                 if json {
                     let diff_json = match &errs {
                         None => String::new(),
-                        Some(errs) => format!(
-                            ",\"differential_violations\":[{}]",
-                            errs.iter()
-                                .map(|e| format!("\"{}\"", e.replace('"', "'")))
-                                .collect::<Vec<_>>()
-                                .join(",")
-                        ),
+                        Some(errs) => {
+                            format!(",\"differential_violations\":{}", violations_json(errs))
+                        }
                     };
                     rows.push(format!(
                         "{{\"kernel\":\"{}\",\"scheme\":\"{scheme}\",\
@@ -588,10 +527,8 @@ fn cmd_analyze(args: &[String]) -> ExitCode {
                         ta.static_cpi_bound(),
                         ta.blocks.len()
                     );
-                    if let Some(errs) = &errs {
-                        for e in errs {
-                            println!("  {e}");
-                        }
+                    for e in errs.iter().flatten() {
+                        println!("  {e}");
                     }
                 }
             }
@@ -599,40 +536,22 @@ fn cmd_analyze(args: &[String]) -> ExitCode {
         if json {
             println!("[{}]", rows.join(",\n "));
         }
-        return if violations == 0 {
-            ExitCode::SUCCESS
-        } else {
-            ExitCode::FAILURE
-        };
+        return Ok(exit_code(violations == 0));
     }
 
-    let Some(target) = parsed.positionals.first() else {
-        return usage();
-    };
-    let scheme = BranchScheme {
-        slots,
-        squash: SquashPolicy::SquashOptional,
-    };
-    let program = match target_program(target, scheme) {
-        Ok(p) => p,
-        Err(e) => {
-            eprintln!("mipsx: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let ta = TimingAnalysis::of(&program, &VerifyConfig::for_slots(slots));
+    let target = target(&parsed)?;
+    let program = resolve_target(target, &point)?;
+    let ta = TimingAnalysis::of(&program, &VerifyConfig::for_slots(point.scheme.slots));
     let errs = if diff {
         if ta.irregular {
-            eprintln!("mipsx: {target}: irregular control flow — exact differential unavailable");
-            return ExitCode::FAILURE;
+            return fail(format!(
+                "{target}: irregular control flow — exact differential unavailable"
+            ));
         }
-        match run_differential(&program, &ta, slots, budget) {
-            Ok(errs) => Some(errs),
-            Err(e) => {
-                eprintln!("mipsx: {target}: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
+        Some(
+            run_differential(&program, &ta, &point, budget)
+                .map_err(|e| format!("{target}: {e}"))?,
+        )
     } else {
         None
     };
@@ -640,12 +559,9 @@ fn cmd_analyze(args: &[String]) -> ExitCode {
         match &errs {
             None => println!("{}", ta.to_json()),
             Some(errs) => println!(
-                "{{\"analysis\":{},\"differential_violations\":[{}]}}",
+                "{{\"analysis\":{},\"differential_violations\":{}}}",
                 ta.to_json(),
-                errs.iter()
-                    .map(|e| format!("\"{}\"", e.replace('"', "'")))
-                    .collect::<Vec<_>>()
-                    .join(",")
+                violations_json(errs)
             ),
         }
     } else {
@@ -661,11 +577,7 @@ fn cmd_analyze(args: &[String]) -> ExitCode {
             }
         }
     }
-    if errs.as_ref().is_none_or(|e| e.is_empty()) {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
-    }
+    Ok(exit_code(errs.is_none_or(|e| e.is_empty())))
 }
 
 /// Exception vector used by the soak harness: well clear of generated
@@ -677,42 +589,13 @@ const SOAK_VECTOR: u32 = 0x8000;
 /// within a few thousand cycles of the divergence.
 const SOAK_CHECKPOINT_CYCLES: u64 = 2048;
 
-fn cmd_soak(args: &[String]) -> ExitCode {
-    let parsed = match parse_or_usage(
-        args,
-        &[
-            flag("--runs"),
-            flag("--seed"),
-            flag("--faults"),
-            flag("--fault-count"),
-            flag("--cycles"),
-            flag("--snap-dir"),
-        ],
-    ) {
-        Ok(p) => p,
-        Err(code) => return code,
-    };
-    let (runs, base_seed, fault_count, cycles) = match (
-        numeric(&parsed, "--runs", 100u64),
-        numeric(&parsed, "--seed", 1u64),
-        numeric(&parsed, "--fault-count", 6u32),
-        numeric(&parsed, "--cycles", 2_000_000u64),
-    ) {
-        (Ok(r), Ok(s), Ok(f), Ok(c)) => (r, s, f, c),
-        (Err(code), ..) | (_, Err(code), ..) | (_, _, Err(code), _) | (.., Err(code)) => {
-            return code
-        }
-    };
-    let fixed_plan = match parsed.value("--faults") {
-        Some(spec) => match FaultPlan::parse(spec) {
-            Ok(p) => Some(p),
-            Err(e) => {
-                eprintln!("mipsx: --faults {spec}: {e}");
-                return ExitCode::FAILURE;
-            }
-        },
-        None => None,
-    };
+fn cmd_soak(args: &[String]) -> Outcome {
+    let parsed = parse("soak", args)?;
+    let runs = parsed.parsed_or("--runs", 100u64)?;
+    let base_seed = parsed.parsed_or("--seed", 1u64)?;
+    let fault_count = parsed.parsed_or("--fault-count", 6u32)?;
+    let cycles = parsed.parsed_or("--cycles", 2_000_000u64)?;
+    let fixed_plan = faults_flag(&parsed)?;
     let handler = assemble_at(NULL_HANDLER, SOAK_VECTOR).expect("null handler assembles");
     let snap_dir = parsed
         .value("--snap-dir")
@@ -734,9 +617,9 @@ fn cmd_soak(args: &[String]) -> ExitCode {
         // masquerading as a simulator divergence downstream.
         let lint = verify(&program, &VerifyConfig::for_slots(cfg.branch_delay_slots));
         if !lint.is_clean() {
-            eprintln!("mipsx: seed {seed}: generator emitted illegal code (not a divergence):");
-            eprintln!("{lint}");
-            return ExitCode::FAILURE;
+            return fail(format!(
+                "seed {seed}: generator emitted illegal code (not a divergence):\n{lint}"
+            ));
         }
         let plan = match &fixed_plan {
             Some(p) => p.clone(),
@@ -745,13 +628,10 @@ fn cmd_soak(args: &[String]) -> ExitCode {
                 // so every fault lands inside it.
                 let mut m = Machine::new(cfg);
                 m.load_program(&program);
-                let horizon = match m.run(cycles) {
-                    Ok(stats) => stats.cycles,
-                    Err(e) => {
-                        eprintln!("mipsx: seed {seed}: fault-free baseline failed: {e}");
-                        return ExitCode::FAILURE;
-                    }
-                };
+                let horizon = m
+                    .run(cycles)
+                    .map_err(|e| format!("seed {seed}: fault-free baseline failed: {e}"))?
+                    .cycles;
                 FaultPlan::random(seed, horizon, fault_count)
             }
         };
@@ -807,116 +687,154 @@ fn cmd_soak(args: &[String]) -> ExitCode {
         "soak: {runs} runs, {faults} fault events scheduled, {exceptions} exceptions taken, \
          {divergences} divergences"
     );
-    if divergences > 0 {
-        ExitCode::FAILURE
-    } else {
-        ExitCode::SUCCESS
+    Ok(exit_code(divergences == 0))
+}
+
+/// The block engine's side counters. `run_cycles` (the profile view) adds
+/// the fast path's share of the run and says so when nothing fell back.
+fn print_engine_stats(es: &EngineStats, run_cycles: Option<u64>) {
+    let share = run_cycles.map_or(String::new(), |cycles| {
+        format!(
+            " ({:.1}% of run)",
+            100.0 * es.fast_cycles as f64 / (cycles as f64).max(1.0)
+        )
+    });
+    println!(
+        "engine: {} blocks compiled ({} fallback-only), {} visits, \
+         {} fast cycles{share}, {} recompiles",
+        es.blocks_compiled, es.fallback_blocks, es.block_visits, es.fast_cycles, es.recompiles
+    );
+    if run_cycles.is_some() && es.total_fallbacks() == 0 {
+        println!("engine: no stepper fallbacks");
+    }
+    for (cause, count) in es.fallback_breakdown() {
+        println!("engine: fallback {cause:<16} x{count}");
     }
 }
 
-fn cmd_run(path: &str, args: &[String]) -> ExitCode {
-    let parsed = match parse_or_usage(
-        args,
-        &[
-            flag("--cycles"),
-            flag("--slots"),
-            flag("--engine"),
-            switch("--trust"),
-            switch("--ideal"),
-            switch("--regs"),
-        ],
-    ) {
-        Ok(p) => p,
-        Err(code) => return code,
-    };
-    let (cycles, slots) = match (
-        numeric(&parsed, "--cycles", 10_000_000u64),
-        numeric(&parsed, "--slots", 2usize),
-    ) {
-        (Ok(c), Ok(s)) => (c, s),
-        (Err(code), _) | (_, Err(code)) => return code,
-    };
-    let source = match std::fs::read_to_string(path) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("mipsx: cannot read {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let program = match assemble(&source) {
-        Ok(p) => p,
-        Err(e) => {
-            eprintln!("mipsx: {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let kind = match parsed.value("--engine").map(EngineKind::parse) {
-        None => EngineKind::Interp,
-        Some(Ok(kind)) => kind,
-        Some(Err(e)) => {
-            eprintln!("mipsx: --engine: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    if kind == EngineKind::Checked && slots != 2 {
-        eprintln!("mipsx: --engine checked models the 2-delay-slot pipeline only");
-        return ExitCode::FAILURE;
-    }
-    let mut cfg = if parsed.has("--ideal") {
-        MachineConfig::cache_ideal()
+/// `mipsx run` and single-target `mipsx profile`: resolve the point and the
+/// target, then construct, decode, compile (block engine only) and run —
+/// each stage a span when profiling. `run` reports the guest books;
+/// `profile` the span tree and the host simulation rate.
+fn run_target(parsed: &ParsedArgs, profile: bool) -> Outcome {
+    let target = target(parsed)?;
+    let cycles = parsed.parsed_or("--cycles", 10_000_000u64)?;
+    let point = point_from_flags(parsed)?;
+    let tele = if profile {
+        Telemetry::enabled()
     } else {
-        MachineConfig::mipsx()
+        Telemetry::disabled()
     };
-    cfg.branch_delay_slots = slots;
-    if parsed.has("--trust") {
-        cfg.interlock = InterlockPolicy::Trust;
+    let root = tele.span_root("profile");
+    let program = {
+        let _s = tele.span("assemble");
+        resolve_target(target, &point)?
+    };
+    let mut machine = {
+        let _s = tele.span("construct");
+        Machine::new(point.cfg)
+    };
+    {
+        let _s = tele.span("decode");
+        machine.load_program(&program);
     }
-    let mut machine = Machine::new(cfg);
-    machine.load_program(&program);
-    let mut backend = AnyBackend::new(kind, &program, &machine);
-    let result = backend
-        .run(&mut machine, cycles)
-        .and_then(|stats| backend.final_check(&machine).map(|()| stats));
-    if let Some(es) = backend.engine_stats() {
+    let mut backend = {
+        // Only the block backend does real work here (compiling the
+        // image into superop blocks); the span prices exactly that.
+        let _s = (point.engine == EngineKind::Block).then(|| tele.span("compile"));
+        AnyBackend::new(point.engine, &program, &machine)
+    };
+    let run_start = Instant::now();
+    let result = {
+        let _s = tele.span("run");
+        backend
+            .run(&mut machine, cycles)
+            .and_then(|stats| backend.final_check(&machine).map(|()| stats))
+    };
+    let run_wall = run_start.elapsed();
+    drop(root);
+
+    if !profile {
+        if let Some(es) = backend.engine_stats() {
+            print_engine_stats(es, None);
+        }
+    }
+    let stats = result.map_err(|e| format!("execution failed: {e}"))?;
+    if profile {
+        let snap = tele.snapshot();
+        println!("profile: {target} ({cycles} cycle budget)");
+        println!();
+        print!("{}", snap.span_tree_report());
+        println!();
         println!(
-            "engine: {} blocks compiled ({} fallback-only), {} visits, \
-             {} fast cycles, {} recompiles",
-            es.blocks_compiled, es.fallback_blocks, es.block_visits, es.fast_cycles, es.recompiles
+            "run: {} guest cycles in {run_wall:.2?} — {:.2} Mcycles/s, {:.2} Minstr/s of host time",
+            stats.cycles,
+            stats.host_cycles_per_sec(run_wall) / 1e6,
+            stats.dynamic_instructions() as f64 / run_wall.as_secs_f64().max(1e-9) / 1e6,
         );
-        for (cause, count) in es.fallback_breakdown() {
-            println!("engine: fallback {cause:<16} x{count}");
+        println!("guest: {stats}");
+        if let Some(es) = backend.engine_stats() {
+            println!();
+            print_engine_stats(es, Some(stats.cycles));
+        }
+        if let Some(path) = parsed.value("--metrics") {
+            write_metrics(path, &snap)?;
+        }
+        return Ok(ExitCode::SUCCESS);
+    }
+    println!("{stats}");
+    // The block engine only fast-paths ideal-cache configs; its demoted
+    // runs still keep the cache books, so print them in the stepper-driven
+    // modes only (where they are the point).
+    if point.engine != EngineKind::Block {
+        println!("icache: {}", machine.icache().stats());
+        println!("ecache: {}", machine.ecache().stats());
+    }
+    if parsed.has("--regs") {
+        for r in Reg::all() {
+            let v = machine.cpu().reg(r);
+            if v != 0 {
+                println!("  {r:>4} = {v:#010x} ({})", v as i32);
+            }
         }
     }
-    match result {
-        Ok(stats) => {
-            println!("{stats}");
-            // The block engine only fast-paths ideal-cache configs; its
-            // demoted runs still keep the cache books, so print them in
-            // the stepper-driven modes only (where they are the point).
-            if kind != EngineKind::Block {
-                println!("icache: {}", machine.icache().stats());
-                println!("ecache: {}", machine.ecache().stats());
-            }
-            if parsed.has("--regs") {
-                for r in Reg::all() {
-                    let v = machine.cpu().reg(r);
-                    if v != 0 {
-                        println!("  {r:>4} = {v:#010x} ({})", v as i32);
-                    }
-                }
-            }
-            ExitCode::SUCCESS
-        }
-        Err(e) => {
-            eprintln!("mipsx: execution failed: {e}");
-            ExitCode::FAILURE
-        }
-    }
+    Ok(ExitCode::SUCCESS)
 }
 
-/// Build a [`SweepSpec`] from a spec file or from `--grid`/`--workload`
-/// flags.
-fn sweep_spec_from(parsed: &ParsedArgs) -> Result<SweepSpec, String> {
+fn default_threads() -> usize {
+    std::thread::available_parallelism().map_or(1, |n| n.get())
+}
+
+/// The sweep `mipsx sweep` and sweep-mode `mipsx profile` run: the spec (a
+/// spec file and/or `--grid`/`--workload`/`--fault`/`--base`/`--engine`/
+/// `--cycles`) and the run options (`--threads`, `--journal`/`--resume`/
+/// `--snapshot-every`, and `--store`/`--no-cache` over `default_store`).
+fn sweep_from_flags(
+    parsed: &ParsedArgs,
+    default_store: ResultStore,
+    telemetry: Telemetry,
+) -> Result<(SweepSpec, SweepOptions), Fail> {
+    let threads = parsed.parsed_or("--threads", default_threads())?;
+    let snapshot_every = parsed.parsed_or("--snapshot-every", 0u64)?;
+    let journal = match parsed.value("--journal") {
+        Some(path) => Some(JournalConfig {
+            path: path.into(),
+            resume: parsed.has("--resume"),
+            snapshot_interval: snapshot_every,
+        }),
+        None if parsed.has("--resume") || snapshot_every > 0 => {
+            return fail("--resume and --snapshot-every require --journal <path>")
+        }
+        None => None,
+    };
+    let store = if parsed.has("--no-cache") {
+        ResultStore::disabled()
+    } else {
+        parsed
+            .value("--store")
+            .map_or(default_store, ResultStore::at)
+    };
+
     let mut spec = match parsed.positionals.first() {
         Some(path) => {
             let text =
@@ -929,10 +847,10 @@ fn sweep_spec_from(parsed: &ParsedArgs) -> Result<SweepSpec, String> {
         None => {}
         Some("mipsx") => spec.base = SimPoint::mipsx(),
         Some("ideal") => spec.base = SimPoint::ideal_memory(),
-        Some(other) => return Err(format!("--base {other}: expected mipsx or ideal")),
+        Some(other) => return fail(format!("--base {other}: expected mipsx or ideal")),
     }
-    if let Some(kind) = parsed.value("--engine") {
-        spec.base.engine = EngineKind::parse(kind).map_err(|e| format!("--engine: {e}"))?;
+    if parsed.has("--engine") {
+        spec.base.engine = point_from_flags(parsed)?.engine;
     }
     let flag_axes: Vec<Axis> = parsed
         .values_of("--grid")
@@ -941,7 +859,7 @@ fn sweep_spec_from(parsed: &ParsedArgs) -> Result<SweepSpec, String> {
     if !flag_axes.is_empty() {
         match &mut spec.grid {
             Grid::Axes(axes) => axes.extend(flag_axes),
-            Grid::Points(_) => return Err("--grid cannot extend an explicit point list".into()),
+            Grid::Points(_) => return fail("--grid cannot extend an explicit point list"),
         }
     }
     for id in parsed.values_of("--workload") {
@@ -950,13 +868,7 @@ fn sweep_spec_from(parsed: &ParsedArgs) -> Result<SweepSpec, String> {
     }
     let flag_faults: Vec<Option<String>> = parsed
         .values_of("--fault")
-        .map(|f| {
-            if f == "none" {
-                None
-            } else {
-                Some(f.to_owned())
-            }
-        })
+        .map(|f| (f != "none").then(|| f.to_owned()))
         .collect();
     if !flag_faults.is_empty() {
         spec.faults = flag_faults;
@@ -966,82 +878,6 @@ fn sweep_spec_from(parsed: &ParsedArgs) -> Result<SweepSpec, String> {
             .parse()
             .map_err(|_| format!("--cycles {cycles}: expected a cycle count"))?;
     }
-    Ok(spec)
-}
-
-fn default_threads() -> usize {
-    std::thread::available_parallelism().map_or(1, |n| n.get())
-}
-
-fn cmd_sweep(args: &[String]) -> ExitCode {
-    let parsed = match parse_or_usage(
-        args,
-        &[
-            flag("--grid"),
-            flag("--workload"),
-            flag("--fault"),
-            flag("--base"),
-            flag("--engine"),
-            flag("--cycles"),
-            flag("--threads"),
-            flag("--store"),
-            switch("--json"),
-            switch("--csv"),
-            switch("--no-cache"),
-            flag("--bench"),
-            flag("--metrics"),
-            switch("--timings"),
-            flag("--journal"),
-            flag("--snapshot-every"),
-            switch("--resume"),
-        ],
-    ) {
-        Ok(p) => p,
-        Err(code) => return code,
-    };
-    let (threads, snapshot_every) = match (
-        numeric(&parsed, "--threads", default_threads()),
-        numeric(&parsed, "--snapshot-every", 0u64),
-    ) {
-        (Ok(t), Ok(s)) => (t, s),
-        (Err(code), _) | (_, Err(code)) => return code,
-    };
-    let journal = match parsed.value("--journal") {
-        Some(path) => Some(JournalConfig {
-            path: path.into(),
-            resume: parsed.has("--resume"),
-            snapshot_interval: snapshot_every,
-        }),
-        None => {
-            if parsed.has("--resume") || snapshot_every > 0 {
-                eprintln!("mipsx: --resume and --snapshot-every require --journal <path>");
-                return ExitCode::FAILURE;
-            }
-            None
-        }
-    };
-    if let Some(bench_path) = parsed.value("--bench") {
-        return sweep_bench(bench_path, threads.max(2));
-    }
-    let spec = match sweep_spec_from(&parsed) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("mipsx: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let store = if parsed.has("--no-cache") {
-        ResultStore::disabled()
-    } else {
-        match parsed.value("--store") {
-            Some(dir) => ResultStore::at(dir),
-            None => ResultStore::at(ResultStore::default_dir()),
-        }
-    };
-    let telemetry = match parsed.value("--metrics") {
-        Some(_) => Telemetry::enabled(),
-        None => Telemetry::disabled(),
-    };
     let opts = SweepOptions {
         threads,
         store,
@@ -1049,13 +885,21 @@ fn cmd_sweep(args: &[String]) -> ExitCode {
         journal,
         ..SweepOptions::default()
     };
-    let outcome = match run_sweep(&spec, &opts) {
-        Ok(o) => o,
-        Err(e) => {
-            eprintln!("mipsx: sweep failed: {e}");
-            return ExitCode::FAILURE;
-        }
+    Ok((spec, opts))
+}
+
+fn cmd_sweep(args: &[String]) -> Outcome {
+    let parsed = parse("sweep", args)?;
+    let telemetry = match parsed.value("--metrics") {
+        Some(_) => Telemetry::enabled(),
+        None => Telemetry::disabled(),
     };
+    let default_store = ResultStore::at(ResultStore::default_dir());
+    let (spec, opts) = sweep_from_flags(&parsed, default_store, telemetry)?;
+    if let Some(bench_path) = parsed.value("--bench") {
+        return sweep_bench(bench_path, opts.threads.max(2));
+    }
+    let outcome = run_sweep(&spec, &opts).map_err(|e| format!("sweep failed: {e}"))?;
     let timed = parsed.has("--timings");
     if parsed.has("--json") {
         if timed {
@@ -1073,10 +917,7 @@ fn cmd_sweep(args: &[String]) -> ExitCode {
         print!("{}", outcome.to_markdown());
     }
     if let Some(path) = parsed.value("--metrics") {
-        if let Err(e) = write_metrics(path, &opts.telemetry.snapshot()) {
-            eprintln!("mipsx: {e}");
-            return ExitCode::FAILURE;
-        }
+        write_metrics(path, &opts.telemetry.snapshot())?;
     }
     // Quarantined jobs never abort the sweep (the report above is
     // complete), but each one gets a reproduction line and the exit code
@@ -1097,15 +938,12 @@ fn cmd_sweep(args: &[String]) -> ExitCode {
     eprintln!(
         "mipsx sweep: {} jobs on {} thread(s) in {:.2?} ({} from cache, {} quarantined)",
         outcome.rows.len(),
-        threads,
+        opts.threads,
         outcome.wall,
         outcome.cache_hits,
         outcome.failed_count(),
     );
-    if outcome.failed_count() > 0 {
-        return ExitCode::FAILURE;
-    }
-    ExitCode::SUCCESS
+    Ok(exit_code(outcome.failed_count() == 0))
 }
 
 /// Write a telemetry snapshot to `path` as JSON, plus the Prometheus text
@@ -1123,7 +961,7 @@ fn write_metrics(path: &str, snapshot: &mipsx::telemetry::Snapshot) -> Result<()
 /// The `--bench` mode: run the E1 and E11 experiment grids serial and
 /// parallel on *cold* caches, check the reports match byte for byte, check
 /// a warm re-run is served fully from cache, and write the timing baseline.
-fn sweep_bench(path: &str, threads: usize) -> ExitCode {
+fn sweep_bench(path: &str, threads: usize) -> Outcome {
     let grids: [(&str, SweepSpec); 2] = [
         (
             "e1_branch_schemes",
@@ -1143,7 +981,7 @@ fn sweep_bench(path: &str, threads: usize) -> ExitCode {
                 telemetry,
                 ..SweepOptions::default()
             };
-            let start = std::time::Instant::now();
+            let start = Instant::now();
             let outcome = run_sweep(&spec, &opts).expect("bench sweep");
             (outcome, start.elapsed(), opts.store)
         };
@@ -1179,12 +1017,10 @@ fn sweep_bench(path: &str, threads: usize) -> ExitCode {
             rerun.rows.len(),
         );
         if !identical || !telemetry_identical {
-            eprintln!("mipsx: BENCH FAILURE: reports differ across thread/telemetry modes");
-            return ExitCode::FAILURE;
+            return fail("BENCH FAILURE: reports differ across thread/telemetry modes");
         }
         if rerun.cache_hits != rerun.rows.len() {
-            eprintln!("mipsx: BENCH FAILURE: warm re-run was not fully served from cache");
-            return ExitCode::FAILURE;
+            return fail("BENCH FAILURE: warm re-run was not fully served from cache");
         }
         entries.push(format!(
             "{{\"grid\":\"{name}\",\"jobs\":{},\"threads\":{threads},\
@@ -1205,231 +1041,78 @@ fn sweep_bench(path: &str, threads: usize) -> ExitCode {
         default_threads(),
         entries.join(",")
     );
-    if let Err(e) = std::fs::write(path, &doc) {
-        eprintln!("mipsx: cannot write {path}: {e}");
-        return ExitCode::FAILURE;
-    }
+    std::fs::write(path, &doc).map_err(|e| format!("cannot write {path}: {e}"))?;
     print!("{doc}");
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
 /// `mipsx profile`: run with host telemetry live and print the span-tree
-/// wall-time report. A kernel name or `.s` file profiles one run
-/// (assemble / construct / decode / run stages plus the host simulation
-/// rate); a `.sweep` file or `--grid`/`--workload` flags profile a whole
-/// sweep, including pool occupancy and store latency metrics.
-fn cmd_profile(args: &[String]) -> ExitCode {
-    let parsed = match parse_or_usage(
-        args,
-        &[
-            flag("--grid"),
-            flag("--workload"),
-            flag("--fault"),
-            flag("--base"),
-            flag("--engine"),
-            flag("--cycles"),
-            flag("--threads"),
-            flag("--slots"),
-            flag("--store"),
-            flag("--metrics"),
-        ],
-    ) {
-        Ok(p) => p,
-        Err(code) => return code,
-    };
-    let tele = Telemetry::enabled();
-    let sweep_mode = match parsed.positionals.first() {
-        Some(t) => t.ends_with(".sweep"),
-        None => true,
-    };
-
-    if sweep_mode {
-        let spec = match sweep_spec_from(&parsed) {
-            Ok(s) => s,
-            Err(e) => {
-                eprintln!("mipsx: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        if spec.workloads.is_empty() {
-            eprintln!(
-                "mipsx: profile: give a kernel name, a .s file, a .sweep file, or --workload flags"
-            );
-            return usage();
-        }
-        let threads = match numeric(&parsed, "--threads", default_threads()) {
-            Ok(t) => t,
-            Err(code) => return code,
-        };
-        let store = match parsed.value("--store") {
-            Some(dir) => ResultStore::at(dir),
-            None => ResultStore::disabled(),
-        };
-        let opts = SweepOptions {
-            threads,
-            store,
-            telemetry: tele.clone(),
-            ..SweepOptions::default()
-        };
-        let outcome = match run_sweep(&spec, &opts) {
-            Ok(o) => o,
-            Err(e) => {
-                eprintln!("mipsx: sweep failed: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        let snap = tele.snapshot();
-        println!(
-            "profile: {} jobs on {} thread(s) in {:.2?} ({} from cache)",
-            outcome.rows.len(),
-            threads,
-            outcome.wall,
-            outcome.cache_hits
-        );
-        println!();
-        print!("{}", snap.span_tree_report());
-        let busy = snap
-            .timing_counters
-            .get("pool.busy_ns")
-            .copied()
-            .unwrap_or(0);
-        let idle = snap
-            .timing_counters
-            .get("pool.idle_ns")
-            .copied()
-            .unwrap_or(0);
-        if busy + idle > 0 {
-            println!();
-            println!(
-                "pool: {} worker(s), busy {:.1} ms, idle {:.1} ms ({:.1}% occupancy), {} steal(s)",
-                snap.gauges.get("pool.workers").copied().unwrap_or(0),
-                busy as f64 / 1e6,
-                idle as f64 / 1e6,
-                100.0 * busy as f64 / (busy + idle) as f64,
-                snap.timing_counters
-                    .get("pool.steals")
-                    .copied()
-                    .unwrap_or(0),
-            );
-        }
-        let guest_cycles = snap.counter("guest.cycles");
-        if guest_cycles > 0 {
-            println!(
-                "guest: {guest_cycles} cycles simulated, {:.2} Mcycles/s of host time",
-                guest_cycles as f64 / outcome.wall.as_secs_f64().max(1e-9) / 1e6
-            );
-        }
-        if let Some(path) = parsed.value("--metrics") {
-            if let Err(e) = write_metrics(path, &snap) {
-                eprintln!("mipsx: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
-        return ExitCode::SUCCESS;
-    }
-
-    // Single-target mode: one program, one machine, stage spans by hand.
-    let target = parsed.positionals.first().expect("checked above");
-    let (cycles, slots) = match (
-        numeric(&parsed, "--cycles", 10_000_000u64),
-        numeric(&parsed, "--slots", 2usize),
-    ) {
-        (Ok(c), Ok(s)) => (c, s),
-        (Err(code), _) | (_, Err(code)) => return code,
-    };
-    let kind = match parsed.value("--engine").map(EngineKind::parse) {
-        None => EngineKind::Interp,
-        Some(Ok(kind)) => kind,
-        Some(Err(e)) => {
-            eprintln!("mipsx: --engine: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    if kind == EngineKind::Checked && slots != 2 {
-        eprintln!("mipsx: --engine checked models the 2-delay-slot pipeline only");
-        return ExitCode::FAILURE;
-    }
-    let root = tele.span_root("profile");
-    let program = {
-        let _s = tele.span("assemble");
-        match target_program(target, BranchScheme::mipsx()) {
-            Ok(p) => p,
-            Err(e) => {
-                eprintln!("mipsx: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
-    };
-    let mut cfg = MachineConfig::mipsx();
-    cfg.branch_delay_slots = slots;
-    let mut machine = {
-        let _s = tele.span("construct");
-        Machine::new(cfg)
-    };
+/// wall-time report. A target profiles one run (see [`run_target`]); a
+/// `.sweep` file or `--grid`/`--workload` flags profile a whole sweep,
+/// including pool occupancy and store latency metrics.
+fn cmd_profile(args: &[String]) -> Outcome {
+    let parsed = parse("profile", args)?;
+    if parsed
+        .positionals
+        .first()
+        .is_some_and(|t| !t.ends_with(".sweep"))
     {
-        let _s = tele.span("decode");
-        machine.load_program(&program);
+        return run_target(&parsed, true);
     }
-    let mut backend = {
-        // Only the block backend does real work here (compiling the
-        // image into superop blocks); the span prices exactly that.
-        let _s = (kind == EngineKind::Block).then(|| tele.span("compile"));
-        AnyBackend::new(kind, &program, &machine)
-    };
-    let run_start = std::time::Instant::now();
-    let stats = {
-        let _s = tele.span("run");
-        let finished = backend
-            .run(&mut machine, cycles)
-            .and_then(|s| backend.final_check(&machine).map(|()| s));
-        match finished {
-            Ok(s) => s,
-            Err(e) => {
-                eprintln!("mipsx: execution failed: {e}");
-                return ExitCode::FAILURE;
-            }
+    // A sweep's machine points come from its base and grid, never from the
+    // single-target machine flags.
+    for (flag, instead) in [
+        ("--slots", "--grid branch.slots=<1,2>"),
+        ("--ideal", "--base ideal"),
+    ] {
+        if parsed.has(flag) {
+            return fail(format!(
+                "profile: {flag} applies to a single target; a sweep takes {instead}"
+            ));
         }
-    };
-    let run_wall = run_start.elapsed();
-    drop(root);
+    }
+    let tele = Telemetry::enabled();
+    let (spec, opts) = sweep_from_flags(&parsed, ResultStore::disabled(), tele.clone())?;
+    if spec.workloads.is_empty() {
+        return Err(Fail::Usage(Some(
+            "profile: give a kernel name, a .s file, a .sweep file, or --workload flags".into(),
+        )));
+    }
+    let outcome = run_sweep(&spec, &opts).map_err(|e| format!("sweep failed: {e}"))?;
     let snap = tele.snapshot();
-    println!("profile: {target} ({cycles} cycle budget)");
+    println!(
+        "profile: {} jobs on {} thread(s) in {:.2?} ({} from cache)",
+        outcome.rows.len(),
+        opts.threads,
+        outcome.wall,
+        outcome.cache_hits
+    );
     println!();
     print!("{}", snap.span_tree_report());
-    println!();
-    println!(
-        "run: {} guest cycles in {run_wall:.2?} — {:.2} Mcycles/s, {:.2} Minstr/s of host time",
-        stats.cycles,
-        stats.host_cycles_per_sec(run_wall) / 1e6,
-        stats.dynamic_instructions() as f64 / run_wall.as_secs_f64().max(1e-9) / 1e6,
-    );
-    println!("guest: {stats}");
-    if let Some(es) = backend.engine_stats() {
+    let timing = |name: &str| snap.timing_counters.get(name).copied().unwrap_or(0);
+    let (busy, idle) = (timing("pool.busy_ns"), timing("pool.idle_ns"));
+    if busy + idle > 0 {
         println!();
         println!(
-            "engine: {} blocks compiled ({} fallback-only), {} visits, \
-             {} fast cycles ({:.1}% of run), {} recompiles",
-            es.blocks_compiled,
-            es.fallback_blocks,
-            es.block_visits,
-            es.fast_cycles,
-            100.0 * es.fast_cycles as f64 / (stats.cycles as f64).max(1.0),
-            es.recompiles,
+            "pool: {} worker(s), busy {:.1} ms, idle {:.1} ms ({:.1}% occupancy), {} steal(s)",
+            snap.gauges.get("pool.workers").copied().unwrap_or(0),
+            busy as f64 / 1e6,
+            idle as f64 / 1e6,
+            100.0 * busy as f64 / (busy + idle) as f64,
+            timing("pool.steals"),
         );
-        if es.total_fallbacks() == 0 {
-            println!("engine: no stepper fallbacks");
-        }
-        for (cause, count) in es.fallback_breakdown() {
-            println!("engine: fallback {cause:<16} x{count}");
-        }
+    }
+    let guest_cycles = snap.counter("guest.cycles");
+    if guest_cycles > 0 {
+        println!(
+            "guest: {guest_cycles} cycles simulated, {:.2} Mcycles/s of host time",
+            guest_cycles as f64 / outcome.wall.as_secs_f64().max(1e-9) / 1e6
+        );
     }
     if let Some(path) = parsed.value("--metrics") {
-        if let Err(e) = write_metrics(path, &snap) {
-            eprintln!("mipsx: {e}");
-            return ExitCode::FAILURE;
-        }
+        write_metrics(path, &snap)?;
     }
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
 /// `mipsx snapshot <save|restore|info>`: the checkpoint/restore surface.
@@ -1440,69 +1123,31 @@ fn cmd_profile(args: &[String]) -> ExitCode {
 /// stats block a from-scratch run would — so CI can diff the two outputs
 /// byte for byte; `info` prints the self-describing header without
 /// constructing a machine at all.
-fn cmd_snapshot(args: &[String]) -> ExitCode {
-    let Some(action) = args.first() else {
-        eprintln!("mipsx: snapshot: expected save, restore or info");
-        return usage();
-    };
-    match action.as_str() {
-        "save" => snapshot_save(&args[1..]),
-        "restore" => snapshot_restore(&args[1..]),
-        "info" => snapshot_info(&args[1..]),
-        other => {
-            eprintln!("mipsx: snapshot {other}: expected save, restore or info");
-            usage()
-        }
+fn cmd_snapshot(args: &[String]) -> Outcome {
+    match args.first().map(String::as_str) {
+        Some("save") => snapshot_save(&args[1..]),
+        Some("restore") => snapshot_restore(&args[1..]),
+        Some("info") => snapshot_info(&args[1..]),
+        None => Err(Fail::Usage(Some(
+            "snapshot: expected save, restore or info".into(),
+        ))),
+        Some(other) => Err(Fail::Usage(Some(format!(
+            "snapshot {other}: expected save, restore or info"
+        )))),
     }
 }
 
-fn snapshot_save(args: &[String]) -> ExitCode {
-    let parsed = match parse_or_usage(
-        args,
-        &[
-            flag("--cycles"),
-            flag("--slots"),
-            flag("--faults"),
-            flag("--out"),
-        ],
-    ) {
-        Ok(p) => p,
-        Err(code) => return code,
-    };
-    let Some(target) = parsed.positionals.first() else {
-        return usage();
-    };
+fn snapshot_save(args: &[String]) -> Outcome {
+    let parsed = parse("snapshot save", args)?;
+    let target = target(&parsed)?;
     let Some(out) = parsed.value("--out") else {
-        eprintln!("mipsx: snapshot save: --out <path> is required");
-        return ExitCode::FAILURE;
+        return fail("snapshot save: --out <path> is required");
     };
-    let (cycles, slots) = match (
-        numeric(&parsed, "--cycles", 0u64),
-        numeric(&parsed, "--slots", 2usize),
-    ) {
-        (Ok(c), Ok(s)) => (c, s),
-        (Err(code), _) | (_, Err(code)) => return code,
-    };
-    let mut plan = match parsed.value("--faults") {
-        Some(spec) => match FaultPlan::parse(spec) {
-            Ok(p) => p,
-            Err(e) => {
-                eprintln!("mipsx: --faults {spec}: {e}");
-                return ExitCode::FAILURE;
-            }
-        },
-        None => FaultPlan::none(),
-    };
-    let program = match target_program(target, BranchScheme::mipsx()) {
-        Ok(p) => p,
-        Err(e) => {
-            eprintln!("mipsx: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let mut cfg = MachineConfig::mipsx();
-    cfg.branch_delay_slots = slots;
-    let mut machine = Machine::new(cfg);
+    let cycles = parsed.parsed_or("--cycles", 0u64)?;
+    let mut plan = faults_flag(&parsed)?.unwrap_or_else(FaultPlan::none);
+    let point = point_from_flags(&parsed)?;
+    let program = resolve_target(target, &point)?;
+    let mut machine = Machine::new(point.cfg);
     machine.load_program(&program);
     // --cycles 0 snapshots the freshly loaded machine: restoring that is
     // exactly a from-scratch run, which gives CI its reference output.
@@ -1514,94 +1159,78 @@ fn snapshot_save(args: &[String]) -> ExitCode {
                  snapshotting the final state",
                 stats.cycles
             ),
-            Err(e) => {
-                eprintln!("mipsx: execution failed: {e}");
-                return ExitCode::FAILURE;
-            }
+            Err(e) => return fail(format!("execution failed: {e}")),
         }
     }
-    let bytes = match machine.save_snapshot(Some(&plan)) {
-        Ok(b) => b,
-        Err(e) => {
-            eprintln!("mipsx: snapshot failed: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    if let Err(e) = std::fs::write(out, &bytes) {
-        eprintln!("mipsx: cannot write {out}: {e}");
-        return ExitCode::FAILURE;
-    }
+    let bytes = machine
+        .save_snapshot(Some(&plan))
+        .map_err(|e| format!("snapshot failed: {e}"))?;
+    std::fs::write(out, &bytes).map_err(|e| format!("cannot write {out}: {e}"))?;
     eprintln!("mipsx: {} bytes written to {out}", bytes.len());
-    match mipsx::core::snapshot::inspect(&bytes) {
-        Ok(info) => print!("{info}"),
-        Err(e) => {
-            eprintln!("mipsx: INTERNAL ERROR: just-written snapshot does not inspect: {e}");
-            return ExitCode::FAILURE;
-        }
-    }
-    ExitCode::SUCCESS
+    let info = mipsx::core::snapshot::inspect(&bytes)
+        .map_err(|e| format!("INTERNAL ERROR: just-written snapshot does not inspect: {e}"))?;
+    print!("{info}");
+    Ok(ExitCode::SUCCESS)
 }
 
-fn snapshot_restore(args: &[String]) -> ExitCode {
-    let parsed = match parse_or_usage(args, &[flag("--cycles")]) {
-        Ok(p) => p,
-        Err(code) => return code,
-    };
-    let Some(path) = parsed.positionals.first() else {
-        return usage();
-    };
-    let cycles = match numeric(&parsed, "--cycles", 10_000_000u64) {
-        Ok(c) => c,
-        Err(code) => return code,
-    };
-    let bytes = match std::fs::read(path) {
-        Ok(b) => b,
-        Err(e) => {
-            eprintln!("mipsx: cannot read {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let (mut machine, plan) = match Machine::restore_snapshot(&bytes) {
-        Ok(pair) => pair,
-        Err(e) => {
-            eprintln!("mipsx: {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+fn snapshot_restore(args: &[String]) -> Outcome {
+    let parsed = parse("snapshot restore", args)?;
+    let path = target(&parsed)?;
+    let cycles = parsed.parsed_or("--cycles", 10_000_000u64)?;
+    let bytes = std::fs::read(path).map_err(|e| format!("cannot read {path}: {e}"))?;
+    let (mut machine, plan) =
+        Machine::restore_snapshot(&bytes).map_err(|e| format!("{path}: {e}"))?;
     let mut plan = plan.unwrap_or_else(FaultPlan::none);
     if !machine.halted() {
-        if let Err(e) = machine.run_with_faults(cycles, &mut NullSink, &mut plan) {
-            eprintln!("mipsx: execution failed: {e}");
-            return ExitCode::FAILURE;
-        }
+        machine
+            .run_with_faults(cycles, &mut NullSink, &mut plan)
+            .map_err(|e| format!("execution failed: {e}"))?;
     }
     println!("{}", machine.stats());
     println!("icache: {}", machine.icache().stats());
     println!("ecache: {}", machine.ecache().stats());
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
-fn snapshot_info(args: &[String]) -> ExitCode {
-    let Some(path) = args.first() else {
-        return usage();
-    };
-    let bytes = match std::fs::read(path) {
-        Ok(b) => b,
-        Err(e) => {
-            eprintln!("mipsx: cannot read {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    match mipsx::core::snapshot::inspect(&bytes) {
-        Ok(info) => {
-            print!("{info}");
-            ExitCode::SUCCESS
-        }
-        Err(e) => {
-            eprintln!("mipsx: {path}: {e}");
-            ExitCode::FAILURE
-        }
-    }
+fn snapshot_info(args: &[String]) -> Outcome {
+    let path = args.first().ok_or(Fail::Usage(None))?;
+    let bytes = std::fs::read(path).map_err(|e| format!("cannot read {path}: {e}"))?;
+    let info = mipsx::core::snapshot::inspect(&bytes).map_err(|e| format!("{path}: {e}"))?;
+    print!("{info}");
+    Ok(ExitCode::SUCCESS)
+}
+
+fn cmd_info() -> Outcome {
+    let cfg = MachineConfig::mipsx();
+    println!("MIPS-X (Chow & Horowitz, ISCA 1987)");
+    println!(
+        "  clock              : {} MHz (16 MHz first silicon)",
+        cfg.clock_mhz
+    );
+    println!(
+        "  pipeline           : IF RF ALU MEM WB, {} branch delay slots",
+        cfg.branch_delay_slots
+    );
+    println!(
+        "  icache             : {} words ({} rows x {} ways x {}-word blocks), {}-cycle miss, {}-word fetch-back",
+        cfg.icache.size_words(),
+        cfg.icache.rows,
+        cfg.icache.ways,
+        cfg.icache.block_words,
+        cfg.icache.miss_penalty,
+        cfg.icache.fetch_words
+    );
+    println!(
+        "  ecache             : {} words, {}-word blocks, late-miss retry (+{} cycle)",
+        cfg.ecache.size_words, cfg.ecache.block_words, cfg.ecache.late_miss_overhead
+    );
+    println!(
+        "  memory latency     : {} cycles per retry loop",
+        cfg.mem_latency
+    );
+    println!("  coprocessor scheme : {}", cfg.coproc_scheme);
+    println!("  exception vector   : {:#x}", cfg.exception_vector);
+    Ok(ExitCode::SUCCESS)
 }
 
 fn main() -> ExitCode {
@@ -1609,81 +1238,31 @@ fn main() -> ExitCode {
     let Some(cmd) = args.first() else {
         return usage();
     };
-    match cmd.as_str() {
-        "info" => {
-            let cfg = MachineConfig::mipsx();
-            println!("MIPS-X (Chow & Horowitz, ISCA 1987)");
-            println!(
-                "  clock              : {} MHz (16 MHz first silicon)",
-                cfg.clock_mhz
-            );
-            println!(
-                "  pipeline           : IF RF ALU MEM WB, {} branch delay slots",
-                cfg.branch_delay_slots
-            );
-            println!(
-                "  icache             : {} words ({} rows x {} ways x {}-word blocks), {}-cycle miss, {}-word fetch-back",
-                cfg.icache.size_words(),
-                cfg.icache.rows,
-                cfg.icache.ways,
-                cfg.icache.block_words,
-                cfg.icache.miss_penalty,
-                cfg.icache.fetch_words
-            );
-            println!(
-                "  ecache             : {} words, {}-word blocks, late-miss retry (+{} cycle)",
-                cfg.ecache.size_words, cfg.ecache.block_words, cfg.ecache.late_miss_overhead
-            );
-            println!(
-                "  memory latency     : {} cycles per retry loop",
-                cfg.mem_latency
-            );
-            println!("  coprocessor scheme : {}", cfg.coproc_scheme);
-            println!("  exception vector   : {:#x}", cfg.exception_vector);
-            ExitCode::SUCCESS
-        }
-        "trace" => cmd_trace(&args[1..]),
-        "soak" => cmd_soak(&args[1..]),
-        "lint" => cmd_lint(&args[1..]),
-        "analyze" => cmd_analyze(&args[1..]),
-        "sweep" => cmd_sweep(&args[1..]),
-        "profile" => cmd_profile(&args[1..]),
-        "snapshot" => cmd_snapshot(&args[1..]),
-        "asm" | "dis" => {
-            let Some(path) = args.get(1) else {
-                return usage();
-            };
-            let source = match std::fs::read_to_string(path) {
-                Ok(s) => s,
-                Err(e) => {
-                    eprintln!("mipsx: cannot read {path}: {e}");
-                    return ExitCode::FAILURE;
-                }
-            };
-            let program = match assemble(&source) {
-                Ok(p) => p,
-                Err(e) => {
-                    eprintln!("mipsx: {path}: {e}");
-                    return ExitCode::FAILURE;
-                }
-            };
-            if cmd == "asm" {
-                for (i, w) in program.words.iter().enumerate() {
-                    println!("{:#07x}: {w:08x}", program.origin + i as u32);
-                }
-            } else {
-                for line in disassemble(program.origin, &program.words) {
-                    println!("{line}");
-                }
+    let rest = &args[1..];
+    let outcome = match cmd.as_str() {
+        "info" => cmd_info(),
+        "asm" => cmd_asm(false, rest),
+        "dis" => cmd_asm(true, rest),
+        "run" => parse("run", rest).and_then(|parsed| run_target(&parsed, false)),
+        "trace" => cmd_trace(rest),
+        "soak" => cmd_soak(rest),
+        "lint" => cmd_lint(rest),
+        "analyze" => cmd_analyze(rest),
+        "sweep" => cmd_sweep(rest),
+        "profile" => cmd_profile(rest),
+        "snapshot" => cmd_snapshot(rest),
+        _ => Err(Fail::Usage(None)),
+    };
+    outcome.unwrap_or_else(|fail| match fail {
+        Fail::Usage(msg) => {
+            if let Some(msg) = msg {
+                eprintln!("mipsx: {msg}");
             }
-            ExitCode::SUCCESS
+            usage()
         }
-        "run" => {
-            let Some(path) = args.get(1) else {
-                return usage();
-            };
-            cmd_run(path, &args[2..])
+        Fail::Msg(msg) => {
+            eprintln!("mipsx: {msg}");
+            ExitCode::FAILURE
         }
-        _ => usage(),
-    }
+    })
 }

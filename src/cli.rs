@@ -1,11 +1,16 @@
-//! Shared command-line flag parsing for the `mipsx` binary.
+//! Shared command-line front end for the `mipsx` binary.
 //!
 //! Every subcommand used to hand-roll the same `while let Some(opt) =
 //! it.next()` loop — with the same two bugs waiting to happen: a flag at
 //! the end of the line silently swallowing its missing value, and a typo'd
 //! value silently falling back to the default. This module centralizes the
-//! loop: a subcommand declares its flags once, and lookups are typed and
-//! fail loudly.
+//! loop: a subcommand declares its flags once ([`SUBCOMMAND_FLAGS`]), and
+//! lookups are typed and fail loudly.
+//!
+//! It also holds the one input model every subcommand shares with the
+//! sweep engine: [`point_from_flags`] turns the machine flags into a
+//! [`SimPoint`], and [`resolve_target`] turns a target argument into the
+//! program that point runs, prepared exactly as a sweep job prepares it.
 //!
 //! ```
 //! use mipsx::cli::{flag, parse_args, switch};
@@ -20,6 +25,14 @@
 //! ```
 
 use std::fmt;
+
+use mipsx_asm::{assemble, Program};
+use mipsx_core::{InterlockPolicy, MachineConfig};
+use mipsx_exec::EngineKind;
+use mipsx_explore::image::raw_program;
+use mipsx_explore::{SimPoint, Workload};
+use mipsx_reorg::{BranchScheme, Reorganizer};
+use mipsx_workloads::{find_kernel, kernel_names};
 
 /// A flag-parsing error. `Display` renders the user-facing message.
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -159,6 +172,189 @@ pub fn parse_args(args: &[String], spec: &[FlagSpec]) -> Result<ParsedArgs, ArgE
         }
     }
     Ok(parsed)
+}
+
+/// Every subcommand that takes flags, with the flags it declares.
+pub const SUBCOMMAND_FLAGS: &[(&str, &[FlagSpec])] = &[
+    (
+        "run",
+        &[
+            flag("--cycles"),
+            flag("--slots"),
+            flag("--engine"),
+            switch("--trust"),
+            switch("--ideal"),
+            switch("--regs"),
+        ],
+    ),
+    (
+        "trace",
+        &[
+            flag("--cycles"),
+            flag("--slots"),
+            flag("--diagram"),
+            flag("--jsonl"),
+            flag("--from-cycle"),
+        ],
+    ),
+    (
+        "soak",
+        &[
+            flag("--runs"),
+            flag("--seed"),
+            flag("--faults"),
+            flag("--fault-count"),
+            flag("--cycles"),
+            flag("--snap-dir"),
+        ],
+    ),
+    (
+        "lint",
+        &[
+            switch("--json"),
+            switch("--kernels"),
+            switch("--timing"),
+            flag("--slots"),
+        ],
+    ),
+    (
+        "analyze",
+        &[
+            switch("--json"),
+            switch("--kernels"),
+            switch("--differential"),
+            flag("--slots"),
+            flag("--cycles"),
+        ],
+    ),
+    (
+        "sweep",
+        &[
+            flag("--grid"),
+            flag("--workload"),
+            flag("--fault"),
+            flag("--base"),
+            flag("--engine"),
+            flag("--cycles"),
+            flag("--threads"),
+            flag("--store"),
+            switch("--json"),
+            switch("--csv"),
+            switch("--no-cache"),
+            flag("--bench"),
+            flag("--metrics"),
+            switch("--timings"),
+            flag("--journal"),
+            flag("--snapshot-every"),
+            switch("--resume"),
+        ],
+    ),
+    (
+        "profile",
+        &[
+            flag("--grid"),
+            flag("--workload"),
+            flag("--fault"),
+            flag("--base"),
+            flag("--engine"),
+            flag("--cycles"),
+            flag("--threads"),
+            flag("--slots"),
+            switch("--ideal"),
+            flag("--store"),
+            flag("--metrics"),
+        ],
+    ),
+    (
+        "snapshot save",
+        &[
+            flag("--cycles"),
+            flag("--slots"),
+            flag("--faults"),
+            flag("--out"),
+        ],
+    ),
+    ("snapshot restore", &[flag("--cycles")]),
+];
+
+/// The flags `subcommand` declares (none for a name not in
+/// [`SUBCOMMAND_FLAGS`]).
+pub fn flags_of(subcommand: &str) -> &'static [FlagSpec] {
+    SUBCOMMAND_FLAGS
+        .iter()
+        .find(|(name, _)| *name == subcommand)
+        .map_or(&[], |(_, spec)| spec)
+}
+
+/// The simulation point the machine flags describe:
+///
+/// - `--slots <1|2>` (default 2): the machine's branch delay slots *and*
+///   the squash-optional scheme programs are reorganized for, so the
+///   schedule always matches the pipeline;
+/// - `--ideal`: [`MachineConfig::cache_ideal`] instead of the MIPS-X board;
+/// - `--trust`: no interlock checking (model the silicon);
+/// - `--engine <interp|block|checked>` (default interp): the backend.
+///
+/// A subcommand that does not declare a flag never sees it, so every
+/// subcommand builds its point here. The result passes
+/// [`SimPoint::validate`], whose message is the error otherwise.
+pub fn point_from_flags(parsed: &ParsedArgs) -> Result<SimPoint, String> {
+    let slots = parsed
+        .parsed_or("--slots", 2usize)
+        .map_err(|e| e.to_string())?;
+    let mut cfg = if parsed.has("--ideal") {
+        MachineConfig::cache_ideal()
+    } else {
+        MachineConfig::mipsx()
+    };
+    if parsed.has("--trust") {
+        cfg.interlock = InterlockPolicy::Trust;
+    }
+    let engine = match parsed.value("--engine") {
+        Some(kind) => EngineKind::parse(kind).map_err(|e| format!("--engine: {e}"))?,
+        None => EngineKind::Interp,
+    };
+    let scheme = BranchScheme {
+        slots,
+        ..BranchScheme::mipsx()
+    };
+    let point = SimPoint::new(cfg, scheme).with_engine(engine);
+    point.validate().map_err(|e| e.to_string())?;
+    Ok(point)
+}
+
+/// The program a target argument names, prepared for `point`:
+///
+/// - a built-in kernel name (`fib_recursive`) or a sweep workload id
+///   (`kernel:<name>`, `synth:<pascal|lisp|tiny>:<seed>`,
+///   `stream:<words>x<reps>`) is generated and reorganized under
+///   `point.scheme`, exactly as a sweep job prepares it;
+/// - anything else is an assembly file, assembled as written.
+///
+/// `trace:` ids are instruction-address traces with no program, so they
+/// are an error.
+pub fn resolve_target(arg: &str, point: &SimPoint) -> Result<Program, String> {
+    let workload = if find_kernel(arg).is_some() {
+        Workload::Kernel(arg.to_owned())
+    } else if matches!(
+        arg.split_once(':'),
+        Some(("kernel" | "synth" | "trace" | "stream", _))
+    ) {
+        Workload::parse(arg).map_err(|e| e.to_string())?
+    } else {
+        let source = std::fs::read_to_string(arg).map_err(|e| {
+            format!(
+                "{arg}: {e} (not a readable file; known kernels: {})",
+                kernel_names().join(", ")
+            )
+        })?;
+        return assemble(&source).map_err(|e| format!("{arg}: {e}"));
+    };
+    let raw = raw_program(&workload).map_err(|e| e.to_string())?;
+    Reorganizer::new(point.scheme)
+        .reorganize(&raw)
+        .map(|(program, _)| program)
+        .map_err(|e| format!("{arg} [{}]: {e}", point.scheme))
 }
 
 #[cfg(test)]
