@@ -11,7 +11,7 @@
 
 use mipsx_core::{MachineConfig, RunStats};
 use mipsx_mem::EcacheConfig;
-use mipsx_reorg::BranchScheme;
+use mipsx_reorg::{BranchScheme, Reorganizer};
 use mipsx_workloads::calibration;
 use mipsx_workloads::synth::{generate, SynthConfig};
 
@@ -89,11 +89,11 @@ fn aggregate(configs: impl Iterator<Item = SynthConfig>) -> ClassResult {
         mem_latency: 9,
         ..MachineConfig::mipsx()
     };
+    let reorg = Reorganizer::new(scheme);
     let mut total = RunStats::default();
     for cfg in configs {
-        let synth = generate(cfg);
-        let (stats, _) = super::run_scheduled(&synth.raw, scheme, machine);
-        total.merge(&stats);
+        let (program, _) = reorg.reorganize(&generate(cfg).raw).expect("reorganize");
+        total.merge(&super::run_lowered(&program, scheme, machine));
     }
     ClassResult {
         nop_fraction: total.nop_fraction(),

@@ -13,42 +13,22 @@ pub mod e7_cpi;
 pub mod e8_coproc;
 pub mod e9_vax;
 
+use mipsx_asm::Program;
 use mipsx_core::{InterlockPolicy, Machine, MachineConfig, RunStats};
-use mipsx_reorg::{BranchScheme, RawProgram, Reorganizer, ScheduleReport};
+use mipsx_reorg::BranchScheme;
 
-/// Reorganize `raw` under `scheme` and run it on a machine configured to
-/// match; returns run statistics and the schedule report.
-pub(crate) fn run_scheduled(
-    raw: &RawProgram,
+/// Run `program`, lowered for `scheme`, to halt on a `base` machine set to
+/// the scheme's slot count (load-use hazards are run errors).
+pub(crate) fn run_lowered(
+    program: &Program,
     scheme: BranchScheme,
     base: MachineConfig,
-) -> (RunStats, ScheduleReport) {
-    let reorg = Reorganizer::new(scheme);
-    let (program, report) = reorg.reorganize(raw).expect("reorganize");
+) -> RunStats {
     let mut machine = Machine::new(MachineConfig {
         branch_delay_slots: scheme.slots,
         interlock: InterlockPolicy::Detect,
         ..base
     });
-    machine.load_program(&program);
-    let stats = machine.run(500_000_000).expect("run to halt");
-    (stats, report)
-}
-
-/// Run the naive (all-nops) lowering for baseline comparisons.
-pub(crate) fn run_naive(
-    raw: &RawProgram,
-    scheme: BranchScheme,
-    base: MachineConfig,
-) -> (RunStats, ScheduleReport) {
-    let reorg = Reorganizer::new(scheme);
-    let (program, report) = reorg.lower_naive(raw).expect("naive lowering");
-    let mut machine = Machine::new(MachineConfig {
-        branch_delay_slots: scheme.slots,
-        interlock: InterlockPolicy::Detect,
-        ..base
-    });
-    machine.load_program(&program);
-    let stats = machine.run(500_000_000).expect("run to halt");
-    (stats, report)
+    machine.load_program(program);
+    machine.run(500_000_000).expect("run to halt")
 }

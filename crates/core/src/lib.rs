@@ -49,7 +49,7 @@ pub mod inject;
 mod machine;
 pub mod probe;
 pub mod snapshot;
-mod stats;
+pub mod stats;
 
 pub use config::{InterlockPolicy, MachineConfig, SimConfig};
 pub use cpu::{Cpu, PcChainEntry};

@@ -554,42 +554,12 @@ fn apply_fsms(m: &mut Machine, body: &[u8]) -> Result<(), SnapshotError> {
     Ok(())
 }
 
-/// [`RunStats`] fields in declaration order — the STAT section's layout.
-fn stats_fields(s: &RunStats) -> [u64; 24] {
-    [
-        s.cycles,
-        s.instructions,
-        s.nops,
-        s.squashed,
-        s.branches,
-        s.branches_taken,
-        s.branch_slot_nops,
-        s.branch_slot_squashed,
-        s.jumps,
-        s.loads,
-        s.stores,
-        s.coproc_ops,
-        s.exceptions,
-        s.icache_stall_cycles,
-        s.ecache_stall_cycles,
-        s.coproc_stall_cycles,
-        s.coproc_forced_miss_cycles,
-        s.frozen_cycles,
-        s.interlock_stall_cycles,
-        s.injected_interrupts,
-        s.injected_nmis,
-        s.injected_parity_retries,
-        s.injected_jitter_cycles,
-        s.injected_coproc_busy_cycles,
-    ]
-}
-
+/// The STAT section: the counter count, then [`RunStats::values`].
 fn encode_stats(s: &RunStats) -> Enc {
-    let fields = stats_fields(s);
     let mut e = Enc::new();
-    e.u32(fields.len() as u32);
-    for f in fields {
-        e.u64(f);
+    e.u32(RunStats::FIELDS.len() as u32);
+    for v in s.values() {
+        e.u64(v);
     }
     e
 }
@@ -597,41 +567,17 @@ fn encode_stats(s: &RunStats) -> Enc {
 fn decode_stats(body: &[u8]) -> Result<RunStats, SnapshotError> {
     let mut d = Dec::new(body);
     let count = d.u32()? as usize;
-    if count != 24 {
+    if count != RunStats::FIELDS.len() {
         return Err(SnapshotError::Malformed(format!(
-            "{count} statistics fields, expected 24"
+            "{count} statistics fields, expected {}",
+            RunStats::FIELDS.len()
         )));
     }
-    let mut f = [0u64; 24];
-    for v in &mut f {
+    let mut values = RunStats::default().values();
+    for v in &mut values {
         *v = d.u64()?;
     }
-    Ok(RunStats {
-        cycles: f[0],
-        instructions: f[1],
-        nops: f[2],
-        squashed: f[3],
-        branches: f[4],
-        branches_taken: f[5],
-        branch_slot_nops: f[6],
-        branch_slot_squashed: f[7],
-        jumps: f[8],
-        loads: f[9],
-        stores: f[10],
-        coproc_ops: f[11],
-        exceptions: f[12],
-        icache_stall_cycles: f[13],
-        ecache_stall_cycles: f[14],
-        coproc_stall_cycles: f[15],
-        coproc_forced_miss_cycles: f[16],
-        frozen_cycles: f[17],
-        interlock_stall_cycles: f[18],
-        injected_interrupts: f[19],
-        injected_nmis: f[20],
-        injected_parity_retries: f[21],
-        injected_jitter_cycles: f[22],
-        injected_coproc_busy_cycles: f[23],
-    })
+    Ok(RunStats::from_values(values))
 }
 
 fn encode_cache_stats(e: &mut Enc, s: &CacheStats) {

@@ -2,91 +2,153 @@
 
 use std::fmt;
 
-/// Everything a simulation run measures.
-///
-/// The paper's headline numbers come straight out of this struct:
-/// [`RunStats::nop_fraction`] (15.6 % Pascal / 18.3 % Lisp),
-/// [`RunStats::cpi`] (≈1.7 with memory overhead),
-/// [`RunStats::sustained_mips`] (>11 at 20 MHz), and
-/// [`RunStats::cycles_per_branch`] (Table 1: 1.1–2.0 depending on scheme).
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub struct RunStats {
-    /// Total clock cycles, including all stall (frozen) cycles.
-    pub cycles: u64,
-    /// Instructions completed (reached WB un-killed) — explicit no-ops
-    /// included, squashed instructions excluded.
-    pub instructions: u64,
-    /// Completed explicit `nop` instructions.
-    pub nops: u64,
-    /// Instructions killed by squash or exception that drained at WB.
-    pub squashed: u64,
-    /// Conditional branches executed.
-    pub branches: u64,
-    /// Conditional branches that took.
-    pub branches_taken: u64,
-    /// `nop`s observed in branch delay slots (unfillable slots).
-    pub branch_slot_nops: u64,
-    /// Branch delay-slot instructions squashed (wrong-way penalty).
-    pub branch_slot_squashed: u64,
-    /// Unconditional jumps executed (including the special jumps).
-    pub jumps: u64,
-    /// Data loads completed (including `ldf` and `mvfc`).
-    pub loads: u64,
-    /// Data stores completed (including `stf`).
-    pub stores: u64,
-    /// Coprocessor operations issued.
-    pub coproc_ops: u64,
-    /// Exceptions taken (traps and interrupts).
-    pub exceptions: u64,
-    /// Cycles frozen for instruction-cache miss service.
-    pub icache_stall_cycles: u64,
-    /// Cycles frozen in the external-cache late-miss retry loop (data side).
-    pub ecache_stall_cycles: u64,
-    /// Cycles frozen waiting on a busy coprocessor.
-    pub coproc_stall_cycles: u64,
-    /// Cycles charged by the non-cached coprocessor scheme's forced misses.
-    pub coproc_forced_miss_cycles: u64,
-    /// Total cycles the qualified clock ψ1 was withheld (the sum of the
-    /// per-cause stall counters, measured independently at the gate).
-    pub frozen_cycles: u64,
-    /// Cycles a hardware load-use interlock would freeze. MIPS-X has no
-    /// such interlock — the reorganizer schedules around the hazard — so
-    /// this stays zero on the shipped pipeline; interlocking variants fill
-    /// it so CPI decomposes uniformly.
-    pub interlock_stall_cycles: u64,
-    /// Maskable-interrupt pulses delivered by the fault-injection harness
-    /// (delivered ≠ accepted: a masked pulse may be ignored).
-    pub injected_interrupts: u64,
-    /// Non-maskable-interrupt pulses delivered by the harness.
-    pub injected_nmis: u64,
-    /// Icache parity faults that actually invalidated a resident word and
-    /// so forced a sub-block refetch.
-    pub injected_parity_retries: u64,
-    /// Extra Ecache retry-loop cycles injected as latency jitter (also
-    /// counted in [`RunStats::ecache_stall_cycles`]).
-    pub injected_jitter_cycles: u64,
-    /// Coprocessor-busy cycles injected (also counted in
-    /// [`RunStats::coproc_stall_cycles`]).
-    pub injected_coproc_busy_cycles: u64,
+macro_rules! run_stats {
+    ($(#[$outer:meta])* pub struct RunStats { $($(#[$doc:meta])+ $field:ident,)+ }) => {
+        $(#[$outer])*
+        #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
+        pub struct RunStats {
+            $($(#[$doc])+ pub $field: u64,)+
+        }
+
+        /// Number of counters in [`RunStats`].
+        const COUNT: usize = [$(stringify!($field)),+].len();
+
+        impl RunStats {
+            /// Counter names in declaration order — the order of
+            /// [`RunStats::values`] and of the snapshot `STAT` section.
+            pub const FIELDS: [&'static str; COUNT] = [$(stringify!($field)),+];
+
+            /// Every counter, in [`RunStats::FIELDS`] order.
+            pub fn values(&self) -> [u64; COUNT] {
+                [$(self.$field),+]
+            }
+
+            /// Rebuild from counters in [`RunStats::FIELDS`] order.
+            pub fn from_values(values: [u64; COUNT]) -> RunStats {
+                let [$($field),+] = values;
+                RunStats { $($field),+ }
+            }
+
+            /// Merge another run's statistics into this one, counter by
+            /// counter (suite-level totals, block-engine visit deltas).
+            pub fn merge(&mut self, other: &RunStats) {
+                $(self.$field += other.$field;)+
+            }
+        }
+    };
+}
+
+run_stats! {
+    /// Everything a simulation run measures.
+    ///
+    /// The paper's headline numbers come straight out of this struct:
+    /// [`RunStats::nop_fraction`] (15.6 % Pascal / 18.3 % Lisp),
+    /// [`RunStats::cpi`] (≈1.7 with memory overhead),
+    /// [`RunStats::sustained_mips`] (>11 at 20 MHz), and
+    /// [`RunStats::cycles_per_branch`] (Table 1: 1.1–2.0 depending on scheme).
+    pub struct RunStats {
+        /// Total clock cycles, including all stall (frozen) cycles.
+        cycles,
+        /// Instructions completed (reached WB un-killed) — explicit no-ops
+        /// included, squashed instructions excluded.
+        instructions,
+        /// Completed explicit `nop` instructions.
+        nops,
+        /// Instructions killed by squash or exception that drained at WB.
+        squashed,
+        /// Conditional branches executed.
+        branches,
+        /// Conditional branches that took.
+        branches_taken,
+        /// `nop`s observed in branch delay slots (unfillable slots).
+        branch_slot_nops,
+        /// Branch delay-slot instructions squashed (wrong-way penalty).
+        branch_slot_squashed,
+        /// Unconditional jumps executed (including the special jumps).
+        jumps,
+        /// Data loads completed (including `ldf` and `mvfc`).
+        loads,
+        /// Data stores completed (including `stf`).
+        stores,
+        /// Coprocessor operations issued.
+        coproc_ops,
+        /// Exceptions taken (traps and interrupts).
+        exceptions,
+        /// Cycles frozen for instruction-cache miss service.
+        icache_stall_cycles,
+        /// Cycles frozen in the external-cache late-miss retry loop (data side).
+        ecache_stall_cycles,
+        /// Cycles frozen waiting on a busy coprocessor.
+        coproc_stall_cycles,
+        /// Cycles charged by the non-cached coprocessor scheme's forced misses.
+        coproc_forced_miss_cycles,
+        /// Total cycles the qualified clock ψ1 was withheld (the sum of the
+        /// per-cause stall counters, measured independently at the gate).
+        frozen_cycles,
+        /// Cycles a hardware load-use interlock would freeze. MIPS-X has no
+        /// such interlock — the reorganizer schedules around the hazard — so
+        /// this stays zero on the shipped pipeline; interlocking variants fill
+        /// it so CPI decomposes uniformly.
+        interlock_stall_cycles,
+        /// Maskable-interrupt pulses delivered by the fault-injection harness
+        /// (delivered ≠ accepted: a masked pulse may be ignored).
+        injected_interrupts,
+        /// Non-maskable-interrupt pulses delivered by the harness.
+        injected_nmis,
+        /// Icache parity faults that actually invalidated a resident word and
+        /// so forced a sub-block refetch.
+        injected_parity_retries,
+        /// Extra Ecache retry-loop cycles injected as latency jitter (also
+        /// counted in [`RunStats::ecache_stall_cycles`]).
+        injected_jitter_cycles,
+        /// Coprocessor-busy cycles injected (also counted in
+        /// [`RunStats::coproc_stall_cycles`]).
+        injected_coproc_busy_cycles,
+    }
+}
+
+/// `num / den`, or zero when `den` is zero — so every derived metric of
+/// an empty run reads 0.
+pub fn ratio(num: u64, den: u64) -> f64 {
+    if den == 0 {
+        0.0
+    } else {
+        num as f64 / den as f64
+    }
+}
+
+/// Dynamic instruction count as the paper counts it: completed
+/// instructions plus squashed ones — *"Squashing an instruction converts
+/// it into a no-op instruction"*, and those no-ops are part of the
+/// executed stream.
+pub fn dynamic_instructions(instructions: u64, squashed: u64) -> u64 {
+    instructions + squashed
+}
+
+/// Cycles per dynamic instruction (the paper's "average instruction
+/// requires about 1.7 cycles" metric). Zero when nothing completed.
+pub fn cpi(cycles: u64, instructions: u64, squashed: u64) -> f64 {
+    ratio(cycles, dynamic_instructions(instructions, squashed))
+}
+
+/// Average cycles per branch, charged as in the paper's Table 1 footnote:
+/// *"Any no-op instructions in the branch delay slots are attributed to
+/// the cost of the branch so a branch with 2 no-ops in its two delay slots
+/// is deemed to have a cost of 3."* Squashed slot instructions are wasted
+/// cycles and charged identically. Zero when no branch executed.
+pub fn cycles_per_branch(branches: u64, slot_nops: u64, slot_squashed: u64) -> f64 {
+    ratio(branches + slot_nops + slot_squashed, branches)
 }
 
 impl RunStats {
-    /// Dynamic instruction count as the paper counts it: completed
-    /// instructions plus squashed ones — *"Squashing an instruction
-    /// converts it into a no-op instruction"*, and those no-ops are part of
-    /// the executed stream.
+    /// See [`dynamic_instructions`].
     pub fn dynamic_instructions(&self) -> u64 {
-        self.instructions + self.squashed
+        dynamic_instructions(self.instructions, self.squashed)
     }
 
-    /// Cycles per dynamic instruction (the paper's "average instruction
-    /// requires about 1.7 cycles" metric). Zero when nothing completed.
+    /// See [`cpi`].
     pub fn cpi(&self) -> f64 {
-        if self.dynamic_instructions() == 0 {
-            0.0
-        } else {
-            self.cycles as f64 / self.dynamic_instructions() as f64
-        }
+        cpi(self.cycles, self.instructions, self.squashed)
     }
 
     /// Sustained MIPS at the given clock: peak rate divided by CPI.
@@ -105,34 +167,21 @@ impl RunStats {
     /// delays) and squashed instructions count: squashing *converts* an
     /// instruction into a no-op.
     pub fn nop_fraction(&self) -> f64 {
-        if self.dynamic_instructions() == 0 {
-            0.0
-        } else {
-            (self.nops + self.squashed) as f64 / self.dynamic_instructions() as f64
-        }
+        ratio(self.nops + self.squashed, self.dynamic_instructions())
     }
 
-    /// Average cycles per branch, charged as in the paper's Table 1
-    /// footnote: *"Any no-op instructions in the branch delay slots are
-    /// attributed to the cost of the branch so a branch with 2 no-ops in its
-    /// two delay slots is deemed to have a cost of 3."* Squashed slot
-    /// instructions are wasted cycles and charged identically.
+    /// See [`cycles_per_branch`].
     pub fn cycles_per_branch(&self) -> f64 {
-        if self.branches == 0 {
-            0.0
-        } else {
-            (self.branches + self.branch_slot_nops + self.branch_slot_squashed) as f64
-                / self.branches as f64
-        }
+        cycles_per_branch(
+            self.branches,
+            self.branch_slot_nops,
+            self.branch_slot_squashed,
+        )
     }
 
     /// Fraction of branches taken.
     pub fn taken_fraction(&self) -> f64 {
-        if self.branches == 0 {
-            0.0
-        } else {
-            self.branches_taken as f64 / self.branches as f64
-        }
+        ratio(self.branches_taken, self.branches)
     }
 
     /// Host simulation rate: simulated guest cycles per *host* second,
@@ -145,35 +194,6 @@ impl RunStats {
         } else {
             self.cycles as f64 / secs
         }
-    }
-
-    /// Merge another run's statistics into this one (for suite-level
-    /// averages).
-    pub fn merge(&mut self, other: &RunStats) {
-        self.cycles += other.cycles;
-        self.instructions += other.instructions;
-        self.nops += other.nops;
-        self.squashed += other.squashed;
-        self.branches += other.branches;
-        self.branches_taken += other.branches_taken;
-        self.branch_slot_nops += other.branch_slot_nops;
-        self.branch_slot_squashed += other.branch_slot_squashed;
-        self.jumps += other.jumps;
-        self.loads += other.loads;
-        self.stores += other.stores;
-        self.coproc_ops += other.coproc_ops;
-        self.exceptions += other.exceptions;
-        self.icache_stall_cycles += other.icache_stall_cycles;
-        self.ecache_stall_cycles += other.ecache_stall_cycles;
-        self.coproc_stall_cycles += other.coproc_stall_cycles;
-        self.coproc_forced_miss_cycles += other.coproc_forced_miss_cycles;
-        self.frozen_cycles += other.frozen_cycles;
-        self.interlock_stall_cycles += other.interlock_stall_cycles;
-        self.injected_interrupts += other.injected_interrupts;
-        self.injected_nmis += other.injected_nmis;
-        self.injected_parity_retries += other.injected_parity_retries;
-        self.injected_jitter_cycles += other.injected_jitter_cycles;
-        self.injected_coproc_busy_cycles += other.injected_coproc_busy_cycles;
     }
 
     /// Total fault-injection events and cycles delivered this run.
@@ -295,31 +315,55 @@ mod tests {
     /// field-wise as `+` makes the whole struct linear in `k` — any dropped,
     /// duplicated or cross-wired counter breaks the linearity check below.
     fn filled(k: u64) -> RunStats {
-        RunStats {
-            cycles: k,
-            instructions: 2 * k,
-            nops: 3 * k,
-            squashed: 4 * k,
-            branches: 5 * k,
-            branches_taken: 6 * k,
-            branch_slot_nops: 7 * k,
-            branch_slot_squashed: 8 * k,
-            jumps: 9 * k,
-            loads: 10 * k,
-            stores: 11 * k,
-            coproc_ops: 12 * k,
-            exceptions: 13 * k,
-            icache_stall_cycles: 14 * k,
-            ecache_stall_cycles: 15 * k,
-            coproc_stall_cycles: 16 * k,
-            coproc_forced_miss_cycles: 17 * k,
-            frozen_cycles: 18 * k,
-            interlock_stall_cycles: 19 * k,
-            injected_interrupts: 20 * k,
-            injected_nmis: 21 * k,
-            injected_parity_retries: 22 * k,
-            injected_jitter_cycles: 23 * k,
-            injected_coproc_busy_cycles: 24 * k,
+        RunStats::from_values(std::array::from_fn(|i| (i as u64 + 1) * k))
+    }
+
+    #[test]
+    fn values_round_trip_in_declaration_order() {
+        let s = filled(3);
+        assert_eq!(RunStats::from_values(s.values()), s);
+        // The snapshot STAT layout: changing this order changes the bytes
+        // of every saved snapshot.
+        assert_eq!(
+            RunStats::FIELDS,
+            [
+                "cycles",
+                "instructions",
+                "nops",
+                "squashed",
+                "branches",
+                "branches_taken",
+                "branch_slot_nops",
+                "branch_slot_squashed",
+                "jumps",
+                "loads",
+                "stores",
+                "coproc_ops",
+                "exceptions",
+                "icache_stall_cycles",
+                "ecache_stall_cycles",
+                "coproc_stall_cycles",
+                "coproc_forced_miss_cycles",
+                "frozen_cycles",
+                "interlock_stall_cycles",
+                "injected_interrupts",
+                "injected_nmis",
+                "injected_parity_retries",
+                "injected_jitter_cycles",
+                "injected_coproc_busy_cycles",
+            ]
+        );
+        // Names and values agree on every position.
+        let named = [
+            ("cycles", s.cycles),
+            ("jumps", s.jumps),
+            ("frozen_cycles", s.frozen_cycles),
+            ("injected_coproc_busy_cycles", s.injected_coproc_busy_cycles),
+        ];
+        for (name, value) in named {
+            let i = RunStats::FIELDS.iter().position(|f| *f == name).unwrap();
+            assert_eq!(s.values()[i], value);
+            assert_eq!(value, (i as u64 + 1) * 3);
         }
     }
 

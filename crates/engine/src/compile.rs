@@ -12,7 +12,7 @@
 //!    eager sequential commit computes the same values the pipeline's
 //!    forwarding paths deliver — *except* for stale load-delay reads,
 //!    which compilation refuses (see the hazard guards below).
-//! 2. **Per-visit [`Delta`]s** — closed-form `RunStats` increments per
+//! 2. **Per-visit deltas** — closed-form [`RunStats`] increments per
 //!    branch outcome, derived from the same [`BlockSummary`] facts the
 //!    static/dynamic differential proves exact against the stepper.
 //! 3. **A fallback verdict** — any instruction or hazard outside the fast
@@ -43,7 +43,7 @@
 
 use crate::FallbackCause;
 use mipsx_asm::{DecodedEntry, DecodedImage, Program};
-use mipsx_core::{InterlockPolicy, MachineConfig};
+use mipsx_core::{InterlockPolicy, MachineConfig, RunStats};
 use mipsx_isa::{Cond, Instr, Reg, SpecialReg};
 use mipsx_verify::{BlockExit, BlockSummary, TimingAnalysis, VerifyConfig};
 
@@ -100,22 +100,6 @@ pub(crate) enum Op {
     },
 }
 
-/// Closed-form `RunStats` increments for one block visit under one branch
-/// outcome (index 0 = not taken / non-branch, 1 = taken).
-#[derive(Clone, Copy, Debug, Default)]
-pub(crate) struct Delta {
-    pub instructions: u64,
-    pub nops: u64,
-    pub squashed: u64,
-    pub branches: u64,
-    pub branches_taken: u64,
-    pub branch_slot_nops: u64,
-    pub branch_slot_squashed: u64,
-    pub jumps: u64,
-    pub loads: u64,
-    pub stores: u64,
-}
-
 /// How a compiled block transfers control.
 #[derive(Clone, Copy, Debug)]
 pub(crate) enum Exit {
@@ -166,8 +150,9 @@ pub(crate) struct CompiledBlock {
     /// Superops in the delay window (empty for fall-through/halt blocks).
     pub window: Box<[Op]>,
     pub exit: Exit,
-    /// Per-outcome stats increments.
-    pub delta: [Delta; 2],
+    /// Per-outcome stats increments (index 0 = not taken / non-branch,
+    /// 1 = taken); one visit merges the whole struct.
+    pub delta: [RunStats; 2],
     /// Per-outcome PC-chain seed records.
     pub tail: [TailSeed; 2],
 }
@@ -419,7 +404,7 @@ fn compile_block(
 
 /// The `RunStats` increments of one visit with branch outcome `taken`,
 /// mirroring the stepper's write-back and resolve-stage accounting.
-fn make_delta(b: &BlockSummary, taken: bool, instrs: &[Instr], term: Option<Instr>) -> Delta {
+fn make_delta(b: &BlockSummary, taken: bool, instrs: &[Instr], term: Option<Instr>) -> RunStats {
     let squashed = u64::from(b.squashed_when(taken));
     let is_branch = matches!(b.exit, BlockExit::Branch { .. });
     let is_jspci = matches!(term, Some(Instr::Jspci { .. }));
@@ -438,7 +423,8 @@ fn make_delta(b: &BlockSummary, taken: bool, instrs: &[Instr], term: Option<Inst
             stores += 1;
         }
     }
-    Delta {
+    RunStats {
+        cycles: u64::from(b.len),
         instructions: u64::from(b.len) - squashed,
         nops: u64::from(b.nops_when(taken)),
         squashed,
@@ -453,6 +439,7 @@ fn make_delta(b: &BlockSummary, taken: bool, instrs: &[Instr], term: Option<Inst
         jumps: u64::from(is_jspci),
         loads,
         stores,
+        ..RunStats::default()
     }
 }
 

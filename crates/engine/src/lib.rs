@@ -524,21 +524,9 @@ impl BlockEngine {
         };
         let o = usize::from(taken);
         let d = &b.delta[o];
-        let len = u64::from(b.len);
-        let s = m.stats_mut();
-        s.cycles += len;
-        s.instructions += d.instructions;
-        s.nops += d.nops;
-        s.squashed += d.squashed;
-        s.branches += d.branches;
-        s.branches_taken += d.branches_taken;
-        s.branch_slot_nops += d.branch_slot_nops;
-        s.branch_slot_squashed += d.branch_slot_squashed;
-        s.jumps += d.jumps;
-        s.loads += d.loads;
-        s.stores += d.stores;
+        m.stats_mut().merge(d);
         self.stats.block_visits += 1;
-        self.stats.fast_cycles += len;
+        self.stats.fast_cycles += d.cycles;
         self.stats.fast_instructions += d.instructions;
         let tail = &b.tail[o];
         for i in 0..usize::from(tail.len) {

@@ -30,6 +30,7 @@ use std::cell::RefCell;
 use std::time::{Duration, Instant};
 
 use mipsx_core::probe::{json_escape, NullSink};
+use mipsx_core::stats::{self, ratio};
 use mipsx_core::{FaultPlan, InterlockPolicy, Machine, RunError, SimConfig};
 use mipsx_engine::BlockEngine;
 use mipsx_exec::{
@@ -127,23 +128,22 @@ job_result! {
 }
 
 impl JobResult {
-    /// Dynamic instructions as the paper counts them (completed plus
-    /// squashed).
+    /// See [`stats::dynamic_instructions`].
     pub fn dynamic_instructions(&self) -> u64 {
-        self.instructions + self.squashed
+        stats::dynamic_instructions(self.instructions, self.squashed)
     }
 
-    /// Cycles per dynamic instruction; zero when nothing completed.
+    /// See [`stats::cpi`].
     pub fn cpi(&self) -> f64 {
-        ratio(self.cycles, self.dynamic_instructions())
+        stats::cpi(self.cycles, self.instructions, self.squashed)
     }
 
-    /// Average cycles per branch under the paper's Table 1 charging rule
-    /// (branch + slot no-ops + squashed slots).
+    /// See [`stats::cycles_per_branch`] (the paper's Table 1 charging rule).
     pub fn cycles_per_branch(&self) -> f64 {
-        ratio(
-            self.branches + self.branch_slot_nops + self.branch_slot_squashed,
+        stats::cycles_per_branch(
             self.branches,
+            self.branch_slot_nops,
+            self.branch_slot_squashed,
         )
     }
 
@@ -182,14 +182,6 @@ impl JobResult {
             ("ecache_miss_ratio", self.ecache_miss_ratio()),
             ("ecache_stall_fraction", self.ecache_stall_fraction()),
         ]
-    }
-}
-
-fn ratio(num: u64, den: u64) -> f64 {
-    if den == 0 {
-        0.0
-    } else {
-        num as f64 / den as f64
     }
 }
 
